@@ -42,7 +42,6 @@ __all__ = [
     "xi_basis_kernel",
     "xi_basis",
     "coherent_splits",
-    "CoherentRange",
     "symmetrize_bisym",
     "characterization_sum",
     "VerificationEntry",
@@ -166,27 +165,6 @@ def coherent_splits(m: int, v: int, z: Sequence[int]) -> Iterator[tuple[int, ...
             prefix.pop()
 
     yield from rec(0, 0, 0, [])
-
-
-@dataclass(frozen=True)
-class CoherentRange:
-    """The coherent splits entering the criterion at (n, u, z): the class z
-    of order n-1 is cut into a retained block of size n-u and a discarded
-    block of size u-1."""
-
-    n: int
-    u: int
-    z: Composition
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "z", Composition(self.z))
-        if not 2 <= self.u <= self.n:
-            raise ValueError(f"need 2 <= u <= n, got u={self.u}, n={self.n}")
-        if self.z.order != self.n - 1:
-            raise ValueError(f"z must have order {self.n - 1}, got {self.z.order}")
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return coherent_splits(self.n - 1, self.n - self.u, self.z)
 
 
 def symmetrize_bisym(

@@ -5,7 +5,8 @@ weak-independence check), decompose (Hoeffding decomposition of a
 statistic file), identity (exact combinatorial identity grids),
 simulate (seeded urn runs with optional exact cross-check), law-check
 (law consistency sweep).  Exit codes: 0 the checked property holds,
-1 it fails with a witness in the report, 2 usage or input error.
+1 it fails with a witness in the report, 2 usage or input error, 3 internal
+error (a bug, never a verdict; the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 from typing import Optional
 
@@ -39,13 +41,16 @@ def _load_law(spec: str) -> laws.ExchangeableLaw:
     return laws.parse_law(spec)
 
 
-def _emit(obj: dict, out: Optional[str]) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+def _write(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(obj: dict, out: Optional[str]) -> None:
+    _write(json.dumps(obj, indent=2) + "\n", out)
 
 
 def _jobs(args: argparse.Namespace) -> int:
@@ -267,14 +272,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     if args.steps is not None:
         seq = urnsim.simulate(state, fn, args.steps, args.seed)
-        text = "\n".join(str(j) for j in seq)
-        if text:
-            text += "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("".join(f"{j}\n" for j in seq), args.out)
         return 0
 
     if args.n is None:
@@ -421,6 +419,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -542,12 +542,9 @@ def table_to_jsonable(table: _CompositionTable) -> dict:
 def _table_from_jsonable(obj: dict, cls):
     if not isinstance(obj, dict):
         raise ValueError("kernel/statistic JSON must be an object")
-    try:
-        order = int(obj["order"])
-        colors = int(obj["K"])
-        raw = obj["values"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError("kernel/statistic JSON needs order, K and values") from exc
+    order, colors, raw = obj.get("order"), obj.get("K"), obj.get("values")
+    if type(order) is not int or type(colors) is not int or not isinstance(raw, list):
+        raise ValueError("kernel/statistic JSON needs integer order and K and a values list")
     values = {}
     for item in raw:
         try:

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import ClassVar, Optional, Sequence, Union
 
 from .exactnum import (
     Composition,
@@ -60,13 +60,93 @@ __all__ = [
 ]
 
 
+class _Rational:
+    """A declared law parameter: spec/JSON key, attribute, JSON type check."""
+
+    def __init__(self, key: str, attr: Optional[str] = None) -> None:
+        self.key, self.attr = key, attr or key
+
+    def items(self, value) -> list[tuple[str, object]]:
+        return [(self.key, value)]
+
+    def take(self, obj: dict):
+        if self.key not in obj:
+            raise ValueError(f"law field {self.key!r} is missing")
+        return self.load(self.key, obj.pop(self.key))
+
+    def load(self, key: str, raw):
+        if type(raw) not in (str, int):
+            raise ValueError(f"law field {key!r} must be a rational, got {raw!r}")
+        try:
+            return parse_rational(raw)
+        except ValueError as exc:
+            raise ValueError(f"law field {key!r}: {exc}") from None
+
+    def spec(self, value) -> str:
+        return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+    def dump(self, value):
+        return format_rational(value)
+
+    def from_tokens(self, tokens: list[str]):
+        # one token is a scalar, and an integer literal a JSON integer
+        raw = tokens[0] if len(tokens) == 1 else tokens
+        return int(raw) if isinstance(raw, str) and raw.removeprefix("-").isdecimal() else raw
+
+
+class _Integer(_Rational):
+    def load(self, key: str, raw):
+        if type(raw) is not int:
+            raise ValueError(f"law field {key!r} must be an integer, got {raw!r}")
+        return raw
+
+    def dump(self, value):
+        return value
+
+
+class _Vector(_Rational):
+    def load(self, key: str, raw):
+        if not isinstance(raw, list):
+            raise ValueError(f"law field {key!r} must be a list, got {raw!r}")
+        return tuple(_Rational.load(self, key, x) for x in raw)
+
+    def dump(self, value):
+        return [format_rational(x) for x in value]
+
+    def from_tokens(self, tokens: list[str]):
+        return tokens
+
+
+class _Indexed(_Vector):
+    """Vectors under numbered keys p1, p2, ...: one per mixture component."""
+
+    def items(self, value) -> list[tuple[str, object]]:
+        return [(f"{self.key}{r}", v) for r, v in enumerate(value, 1)]
+
+    def take(self, obj: dict):
+        out = []
+        while (key := f"{self.key}{len(out) + 1}") in obj:
+            out.append(self.load(key, obj.pop(key)))
+        return tuple(out)
+
+
 def _rational_vector(values: Sequence[RationalLike]) -> tuple[Rational, ...]:
     return tuple(parse_rational(v) for v in values)
+
+
+def _power_product(p: Sequence[Rational], i: Sequence[int]) -> Rational:
+    out = Fraction(1)
+    for pj, ij in zip(p, i):
+        out *= pj ** ij
+    return out
 
 
 @dataclass(frozen=True)
 class IID:
     """Independent draws from a fixed strictly positive distribution p."""
+
+    family: ClassVar[str] = "iid"
+    params: ClassVar[tuple[_Rational, ...]] = (_Vector("p"),)
 
     p: tuple[Rational, ...]
 
@@ -84,10 +164,16 @@ class IID:
     def K(self) -> int:
         return len(self.p)
 
+    def cylinder(self, i: Composition) -> Rational:
+        return _power_product(self.p, i)
+
 
 @dataclass(frozen=True)
 class Polya:
     """Dirichlet-directed exchangeable law with positive weights alpha."""
+
+    family: ClassVar[str] = "polya"
+    params: ClassVar[tuple[_Rational, ...]] = (_Vector("alpha"),)
 
     alpha: tuple[Rational, ...]
 
@@ -103,6 +189,12 @@ class Polya:
     def K(self) -> int:
         return len(self.alpha)
 
+    def cylinder(self, i: Composition) -> Rational:
+        out = Fraction(1)
+        for aj, ij in zip(self.alpha, i):
+            out *= rising_factorial(aj, ij)
+        return out / rising_factorial(sum(self.alpha), i.order)
+
 
 @dataclass(frozen=True)
 class HLS:
@@ -112,6 +204,10 @@ class HLS:
     2..K-1 receive fixed shares alpha_1..alpha_{K-2} of 1-theta and color
     K the remaining (1 - sum alpha) share.  Needs K >= 3 and sum alpha < 1.
     """
+
+    family: ClassVar[str] = "hls"
+    params: ClassVar[tuple[_Rational, ...]] = (_Integer("K"), _Rational("pi"),
+                                               _Rational("nu"), _Vector("alpha"))
 
     K: int
     pi: Rational
@@ -134,10 +230,19 @@ class HLS:
         if sum(alpha) >= 1:
             raise ValueError("HLS needs sum(alpha) < 1")
 
+    def cylinder(self, i: Composition) -> Rational:
+        shares = (*self.alpha, 1 - sum(self.alpha))
+        theta_moment = beta_ratio(self.pi, self.nu, i[0], i.order - i[0])
+        return theta_moment * _power_product(shares, i[1:])
+
 
 @dataclass(frozen=True)
 class MixtureIID:
     """Finite mixture of IID laws with positive weights summing to 1."""
+
+    family: ClassVar[str] = "mixture"
+    params: ClassVar[tuple[_Rational, ...]] = (_Vector("w", "weights"),
+                                               _Indexed("p", "components"))
 
     weights: tuple[Rational, ...]
     components: tuple[tuple[Rational, ...], ...]
@@ -166,38 +271,19 @@ class MixtureIID:
     def K(self) -> int:
         return len(self.components[0])
 
+    def cylinder(self, i: Composition) -> Rational:
+        terms = (w * _power_product(p, i) for w, p in zip(self.weights, self.components))
+        return sum(terms, Fraction(0))
+
 
 ExchangeableLaw = Union[IID, Polya, HLS, MixtureIID]
+
+_FAMILIES: dict[str, type] = {cls.family: cls for cls in (IID, Polya, HLS, MixtureIID)}
 
 
 @lru_cache(maxsize=None)
 def _cylinder(law: ExchangeableLaw, i: Composition) -> Rational:
-    n = i.order
-    if isinstance(law, IID):
-        out = Fraction(1)
-        for pj, ij in zip(law.p, i):
-            out *= pj ** ij
-        return out
-    if isinstance(law, Polya):
-        out = Fraction(1)
-        for aj, ij in zip(law.alpha, i):
-            out *= rising_factorial(aj, ij)
-        return out / rising_factorial(sum(law.alpha), n)
-    if isinstance(law, HLS):
-        out = beta_ratio(law.pi, law.nu, i[0], n - i[0])
-        for at, count in zip(law.alpha, i[1 : law.K - 1]):
-            out *= at ** count
-        out *= (1 - sum(law.alpha)) ** i[law.K - 1]
-        return out
-    if isinstance(law, MixtureIID):
-        out = Fraction(0)
-        for w, p in zip(law.weights, law.components):
-            term = w
-            for pj, ij in zip(p, i):
-                term *= pj ** ij
-            out += term
-        return out
-    raise TypeError(f"unknown law type {type(law).__name__}")
+    return law.cylinder(i)
 
 
 def _as_composition(law: ExchangeableLaw, i: Sequence[int]) -> Composition:
@@ -315,8 +401,20 @@ def check_consistency(law: ExchangeableLaw, n_max: int) -> ConsistencyReport:
 # law-spec grammar: "family:key=v1,v2,...;key=..." with rational values
 
 
-def _parse_params(body: str) -> dict[str, list[str]]:
-    params: dict[str, list[str]] = {}
+def _tokenize(family: str, body: str) -> list[tuple[str, list[str]]]:
+    pairs: list[tuple[str, list[str]]] = []
+    if family == "hls":
+        # hls uses "," both to separate parameters and inside alpha, so
+        # split on key boundaries instead of raw commas.
+        for piece in body.split(","):
+            key, eq, raw = piece.partition("=")
+            if eq:
+                pairs.append((key.strip(), [raw.strip()] if raw.strip() else []))
+            elif pairs and piece.strip():
+                pairs[-1][1].append(piece.strip())
+            else:
+                raise ValueError(f"malformed hls parameter near {piece!r}")
+        return pairs
     for segment in body.split(";"):
         segment = segment.strip()
         if not segment:
@@ -324,14 +422,12 @@ def _parse_params(body: str) -> dict[str, list[str]]:
         key, eq, raw = segment.partition("=")
         if not eq:
             raise ValueError(f"malformed law parameter {segment!r}")
-        if key.strip() in params:
-            raise ValueError(f"duplicate law parameter {key.strip()!r}")
-        params[key.strip()] = [v.strip() for v in raw.split(",") if v.strip()]
-    return params
+        pairs.append((key.strip(), [v.strip() for v in raw.split(",") if v.strip()]))
+    return pairs
 
 
 def parse_law(text: str) -> ExchangeableLaw:
-    """Parse a law spec string.
+    """Parse a law spec string through its JSON form.
 
     Grammar: ``iid:p=1/2,1/3,1/6`` | ``polya:alpha=1,2,3`` |
     ``hls:K=3,pi=1,nu=2,alpha=1/2`` |
@@ -341,114 +437,47 @@ def parse_law(text: str) -> ExchangeableLaw:
     family = family.strip().lower()
     if not sep:
         raise ValueError(f"law spec {text!r} is missing the family prefix")
-    if family == "hls":
-        # hls uses "," both to separate parameters and inside alpha, so
-        # split on key boundaries instead of raw commas.
-        params: dict[str, list[str]] = {}
-        current: Optional[str] = None
-        for piece in body.split(","):
-            key, eq, raw = piece.partition("=")
-            if eq:
-                current = key.strip()
-                if current in params:
-                    raise ValueError(f"duplicate law parameter {current!r}")
-                params[current] = [raw.strip()] if raw.strip() else []
-            else:
-                if current is None or not piece.strip():
-                    raise ValueError(f"malformed hls parameter near {piece!r}")
-                params[current].append(piece.strip())
-        missing = {"K", "pi", "nu", "alpha"} - set(params)
-        if missing:
-            raise ValueError(f"hls law spec is missing {sorted(missing)}")
-        try:
-            k = int(params["K"][0])
-        except (ValueError, IndexError) as exc:
-            raise ValueError("hls K must be an integer") from exc
-        if len(params["pi"]) != 1 or len(params["nu"]) != 1:
-            raise ValueError("hls pi and nu take a single value")
-        return HLS(k, params["pi"][0], params["nu"][0], tuple(params["alpha"]))
-    params = _parse_params(body)
-    if family == "iid":
-        if set(params) != {"p"}:
-            raise ValueError("iid law spec takes exactly the parameter p")
-        return IID(tuple(params["p"]))
-    if family == "polya":
-        if set(params) != {"alpha"}:
-            raise ValueError("polya law spec takes exactly the parameter alpha")
-        return Polya(tuple(params["alpha"]))
-    if family == "mixture":
-        if "w" not in params:
-            raise ValueError("mixture law spec needs weights w")
-        names = [f"p{r + 1}" for r in range(len(params["w"]))]
-        if set(params) != {"w", *names}:
-            raise ValueError(
-                f"mixture with {len(params['w'])} weights needs components {names}"
-            )
-        return MixtureIID(
-            tuple(params["w"]),
-            tuple(tuple(params[name]) for name in names),
-        )
-    raise ValueError(f"unknown law family {family!r}")
+    cls = _FAMILIES.get(family)
+    fields = {field.key: field for field in cls.params} if cls else {}
+    obj: dict = {"family": family}
+    for key, tokens in _tokenize(family, body):
+        if key in obj:
+            raise ValueError(f"duplicate law parameter {key!r}")
+        obj[key] = fields[key].from_tokens(tokens) if key in fields else tokens
+    return law_from_jsonable(obj)
+
+
+def _fields(law: ExchangeableLaw) -> list[tuple[str, _Rational, object]]:
+    return [(key, field, value) for field in law.params
+            for key, value in field.items(getattr(law, field.attr))]
 
 
 def format_law(law: ExchangeableLaw) -> str:
     """Canonical law spec string; parse_law(format_law(law)) == law."""
-    if isinstance(law, IID):
-        return "iid:p=" + ",".join(str(x) for x in law.p)
-    if isinstance(law, Polya):
-        return "polya:alpha=" + ",".join(str(x) for x in law.alpha)
-    if isinstance(law, HLS):
-        alpha = ",".join(str(x) for x in law.alpha)
-        return f"hls:K={law.K},pi={law.pi},nu={law.nu},alpha={alpha}"
-    if isinstance(law, MixtureIID):
-        parts = ["w=" + ",".join(str(x) for x in law.weights)]
-        for r, comp in enumerate(law.components):
-            parts.append(f"p{r + 1}=" + ",".join(str(x) for x in comp))
-        return "mixture:" + ";".join(parts)
-    raise TypeError(f"unknown law type {type(law).__name__}")
+    sep = "," if law.family == "hls" else ";"  # the hls split in _tokenize
+    return f"{law.family}:" + sep.join(f"{k}={f.spec(v)}" for k, f, v in _fields(law))
 
 
 def law_to_jsonable(law: ExchangeableLaw) -> dict:
     """JSON form mirroring the inline law-string grammar, one field per
     parameter."""
-    if isinstance(law, IID):
-        return {"family": "iid", "p": [format_rational(x) for x in law.p]}
-    if isinstance(law, Polya):
-        return {"family": "polya", "alpha": [format_rational(x) for x in law.alpha]}
-    if isinstance(law, HLS):
-        return {
-            "family": "hls",
-            "K": law.K,
-            "pi": format_rational(law.pi),
-            "nu": format_rational(law.nu),
-            "alpha": [format_rational(x) for x in law.alpha],
-        }
-    if isinstance(law, MixtureIID):
-        out = {"family": "mixture", "w": [format_rational(x) for x in law.weights]}
-        for r, comp in enumerate(law.components):
-            out[f"p{r + 1}"] = [format_rational(x) for x in comp]
-        return out
-    raise TypeError(f"unknown law type {type(law).__name__}")
+    return {"family": law.family, **{k: f.dump(v) for k, f, v in _fields(law)}}
 
 
 def law_from_jsonable(obj: dict) -> ExchangeableLaw:
+    """The one validator of law input: every declared field present with
+    its JSON type (booleans are never numbers), no unknown keys."""
     if not isinstance(obj, dict) or "family" not in obj:
         raise ValueError("law JSON must be an object with a 'family' field")
     family = obj["family"]
-    if family == "iid":
-        return IID(tuple(obj["p"]))
-    if family == "polya":
-        return Polya(tuple(obj["alpha"]))
-    if family == "hls":
-        return HLS(int(obj["K"]), obj["pi"], obj["nu"], tuple(obj["alpha"]))
-    if family == "mixture":
-        weights = tuple(obj["w"])
-        names = [f"p{r + 1}" for r in range(len(weights))]
-        missing = [name for name in names if name not in obj]
-        if missing:
-            raise ValueError(f"mixture law JSON is missing {missing}")
-        return MixtureIID(weights, tuple(tuple(obj[name]) for name in names))
-    raise ValueError(f"unknown law family {family!r}")
+    cls = _FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
+        raise ValueError(f"unknown law family {family!r}")
+    rest = {key: value for key, value in obj.items() if key != "family"}
+    args = {field.attr: field.take(rest) for field in cls.params}
+    if rest:
+        raise ValueError(f"unknown {family} law fields {list(rest)}")
+    return cls(**args)
 
 
 def load_law_file(path: str) -> ExchangeableLaw:

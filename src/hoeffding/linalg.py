@@ -114,16 +114,10 @@ def solve(a_rows: Matrix, b: Sequence["Fraction | int"]) -> Optional[list[Fracti
     ncols_a = ech.ncols - 1
     if any(c == ncols_a for c in ech.pivot_cols):
         return None
-    x = [Fraction(0)] * ncols_a
-    for r in range(len(ech.pivot_cols) - 1, -1, -1):
-        c = ech.pivot_cols[r]
-        row = ech.rows[r]
-        s = Fraction(0)
-        for j in range(c + 1, ncols_a):
-            if row[j] and x[j]:
-                s += row[j] * x[j]
-        x[c] = (row[ncols_a] - s) / Fraction(row[c])
-    return x
+    # the augmented column is a free coordinate fixed at -1: A x - b = 0
+    x = [Fraction(0)] * ech.ncols
+    x[ncols_a] = Fraction(-1)
+    return _back_substitute(ech, x)[:ncols_a]
 
 
 def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:

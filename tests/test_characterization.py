@@ -15,7 +15,6 @@ import pytest
 
 from hoeffding import linalg
 from hoeffding.characterization import (
-    CoherentRange,
     IdentityResult,
     VerificationEntry,
     characterization_sum,
@@ -189,13 +188,6 @@ class TestCoherentSplits:
                         got = sorted(coherent_splits(m, v, z))
                         assert got == sorted(feasible_splits(m, v, z)), (m, v, tuple(z))
 
-    def test_range_object(self):
-        for n in range(2, 7):
-            for u in range(2, n + 1):
-                for z in compositions(n - 1, 3):
-                    rng = CoherentRange(n, u, z)
-                    assert list(rng) == list(coherent_splits(n - 1, n - u, z))
-
     def test_six_color_spot_check(self):
         z = Composition((2, 1, 0, 1, 0, 2))
         got = sorted(coherent_splits(6, 3, z))
@@ -206,10 +198,6 @@ class TestCoherentSplits:
             list(coherent_splits(3, 4, (1, 1, 1)))
         with pytest.raises(ValueError):
             list(coherent_splits(2, 1, (1, 1, 1)))
-        with pytest.raises(ValueError):
-            CoherentRange(3, 4, (1, 1, 0))
-        with pytest.raises(ValueError):
-            CoherentRange(3, 2, (1, 1, 1))
 
 
 class TestSymmetrizeBisym:

@@ -8,6 +8,9 @@ import contextlib
 import io
 import json
 
+import pytest
+
+from hoeffding import laws
 from hoeffding.cli import main
 from hoeffding.decomp import SymmetricStatistic, table_to_jsonable
 from hoeffding.laws import law_to_jsonable, parse_law
@@ -236,3 +239,45 @@ class TestLawCheck:
         code, _, err = run_cli(["law-check", "--law", "iid:p=1/2,1/2,1/2",
                                 "--n-max", "2"])
         assert code == 2 and err.startswith("error:")
+
+
+class TestErrorChannel:
+    @pytest.mark.parametrize("obj", [
+        {"family": "iid"},
+        {"family": "iid", "p": 5},
+        {"family": "hls", "K": 3.9, "pi": "1/1", "nu": "2/1", "alpha": ["1/2"]},
+        {"family": "iid", "p": ["1/2", "1/2"], "q": ["1/1"]},
+    ])
+    def test_malformed_law_file_is_an_input_error(self, tmp_path, obj):
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(["law-check", "--law", str(path), "--n-max", "2"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_law_file_without_p_names_the_field(self, tmp_path):
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps({"family": "iid"}))
+        code, _, err = run_cli(["verify", "--law", str(path), "--n-max", "2"])
+        assert code == 2
+        assert err == "error: law field 'p' is missing\n"
+
+    def test_statistic_order_must_be_an_integer(self, tmp_path):
+        path = statistic_file(tmp_path)
+        obj = json.loads(path.read_text())
+        obj["order"] = 2.9
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(
+            ["decompose", "--law", "iid:p=1/2,1/3,1/6", "--statistic", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "order" in err
+
+    def test_internal_error_exits_three(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken on purpose")
+
+        monkeypatch.setattr(laws, "check_consistency", broken)
+        code, out, err = run_cli(["law-check", "--law", "iid:p=1/2,1/2", "--n-max", "2"])
+        assert code == 3 and out == ""
+        assert err.startswith("internal error:\n")
+        assert "Traceback" in err and "RuntimeError: broken on purpose" in err

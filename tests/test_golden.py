@@ -1,0 +1,63 @@
+"""Golden reports: the SHA-256 of CLI stdout for fixed inputs.
+
+The digests pin every byte of the reports (key order, rational formatting,
+law spec strings), so a refactor of the law families or of the report
+writers cannot change an output without failing here.  A JSON law file
+must give the same bytes as the inline spec it encodes.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from hoeffding.cli import main
+
+LAWS = {
+    "iid": "iid:p=1/2,1/3,1/6",
+    "polya": "polya:alpha=1,2,3",
+    "hls3": "hls:K=3,pi=1,nu=2,alpha=1/2",
+    "hls3b": "hls:K=3,pi=3/2,nu=5/2,alpha=1/3",
+    "hls4": "hls:K=4,pi=1,nu=2,alpha=1/4,1/4",
+    "mixture": "mixture:w=1/2,1/2;p1=1/2,1/4,1/4;p2=1/4,1/4,1/2",
+}
+
+# (law, subcommand) -> (exit code, sha256 of stdout), all with --n-max 3
+GOLDEN = {
+    ("iid", "law-check"): (0, "a62944bcc9e7b1ac032c156c948c4fafef913d5a27e4272f4cf1f3b81a974b6e"),
+    ("iid", "verify"): (0, "3959603002f1eac29f1361678343521bc0e890f54102b4f71d29b8eb6ccd2e65"),
+    ("polya", "law-check"): (0, "51eb0548553746e72b58378d2fbad275127d26569b7cebf951a79a6c7a56cc77"),
+    ("polya", "verify"): (0, "dddc07c24d5e8079b6c6cfc0ee16cda221bb9f12e3560ce7de4c78a56e5b707a"),
+    ("hls3", "law-check"): (0, "2932794d576c7e7ccd887f015161bb1a1bb3d159e907312a16af67f60817f8a7"),
+    ("hls3", "verify"): (0, "e30de47c4f629a4cd39a462a3d7779aa74cf87b533fb9bf02040108c401dff5b"),
+    ("hls3b", "law-check"): (0, "a09aa6fe38810c9c641ee37e6e75d7cd49b3abe3c61bfceb76c60cd12289d749"),
+    ("hls3b", "verify"): (0, "769a83c5bc5b415edeb68493da16b86fb7b6c0a12078a9db19b75e28bd7c43ac"),
+    ("hls4", "law-check"): (0, "ed37092e3aeaff7ab39d40878df5d4cb79905e9d6a6eade90a59dcc00f819416"),
+    ("hls4", "verify"): (0, "da3ec86620f8ad0f2298b7de84741a2780b33d0ef9a8cbc94a4705bcaa92d6e6"),
+    ("mixture", "law-check"): (0, "872449d036ca886be10ca52e24c1b0fe8146feb7dcd88603cd151ba5c9a0c0d0"),
+    ("mixture", "verify"): (1, "8f1cf72e3b6170fd7ae98ee9ac1f1f4b786dc423bebc74e576e6a8fece240624"),
+    ("mixture", "oracle"): (1, "bcff59b653d4a00326f6cc92f76041f4f65d089099822c22f629f0aa112d1ddd"),
+}
+
+
+def run_digest(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,command", sorted(GOLDEN))
+def test_report_digest(name, command):
+    argv = [command, "--law", LAWS[name], "--n-max", "3"]
+    assert run_digest(argv) == GOLDEN[name, command]
+
+
+def test_hls_json_file_matches_inline_spec(tmp_path):
+    path = tmp_path / "hls.json"
+    path.write_text(json.dumps(
+        {"family": "hls", "K": 3, "pi": "1/1", "nu": "2/1", "alpha": ["1/2"]}))
+    argv = ["verify", "--law", str(path), "--n-max", "3"]
+    assert run_digest(argv) == GOLDEN["hls3", "verify"]

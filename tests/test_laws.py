@@ -272,9 +272,48 @@ class TestSpecStrings:
             "hls:K=3,pi=1,alpha=1/2",  # nu missing
             "mixture:w=1/2,1/2;p1=1/2,1/2",  # p2 missing
             "iid:p=1/2,1/2;p=1/2,1/2",
+            "hls:K=3.9,pi=1,nu=2,alpha=1/2",
+            "hls:K=3,4,pi=1,nu=2,alpha=1/2",  # K takes one value
+            "hls:K=3,pi=1,2,nu=2,alpha=1/2",  # so does pi
+            "iid:p=1/2,1/2;family=polya",
         ):
             with pytest.raises(ValueError):
                 parse_law(bad)
+
+    @pytest.mark.parametrize("bad,field", [
+        ({"family": "iid"}, "'p'"),
+        ({"family": "iid", "p": 5}, "'p'"),
+        ({"family": "iid", "p": "1/2,1/2"}, "'p'"),
+        ({"family": "iid", "p": ["1/2", True]}, "'p'"),
+        ({"family": "iid", "p": [0.5, 0.5]}, "'p'"),
+        ({"family": "iid", "p": ["1/2", "1/2"], "q": ["1/1"]}, "'q'"),
+        ({"family": "hls", "K": 3.9, "pi": "1", "nu": "2", "alpha": ["1/2"]}, "'K'"),
+        ({"family": "hls", "K": True, "pi": "1", "nu": "2", "alpha": ["1/2"]}, "'K'"),
+        ({"family": "hls", "K": "3", "pi": "1", "nu": "2", "alpha": ["1/2"]}, "'K'"),
+        ({"family": "hls", "K": 3, "pi": False, "nu": "2", "alpha": ["1/2"]}, "'pi'"),
+        ({"family": "hls", "K": 3, "pi": ["1"], "nu": "2", "alpha": ["1/2"]}, "'pi'"),
+        ({"family": "hls", "K": 3, "pi": "x", "nu": "2", "alpha": ["1/2"]}, "'pi'"),
+        ({"family": "mixture", "w": ["1/1"], "p1": ["1/2", "1/2"], "p3": ["1/1"]},
+         "'p3'"),
+    ])
+    def test_json_rejections_name_the_field(self, bad, field):
+        with pytest.raises(ValueError, match=field):
+            law_from_jsonable(bad)
+
+    def test_json_rejections(self):
+        for bad in (
+            [],
+            {"p": ["1/2", "1/2"]},
+            {"family": "gauss"},
+            {"family": ["iid"]},
+            {"family": "mixture", "w": ["1/2", "1/2"], "p1": ["1/2", "1/2"]},
+        ):
+            with pytest.raises(ValueError):
+                law_from_jsonable(bad)
+
+    def test_inline_and_json_forms_agree(self):
+        assert parse_law("hls:K=3,pi=1,nu=2,alpha=1/2") == law_from_jsonable(
+            {"family": "hls", "K": 3, "pi": 1, "nu": "2/1", "alpha": ["1/2"]})
 
     @pytest.mark.parametrize("law", ALL_LAWS)
     def test_json_round_trip(self, law):
