@@ -3,8 +3,8 @@
 The centerpiece is characterization_sum, an alternating double sum over
 coherent splits of a conditioning class and over fresh-draw allocations,
 whose vanishing at every index tuple is equivalent to weak independence
-of the law.  verify_hd sweeps it exhaustively up to a depth.  The module
-also carries the supporting cast: the shift operators on count vectors,
+of the law.  verify_hd sweeps it exhaustively up to a depth, evaluating
+all kernel indices m of one (n, u, z) at once.  The module also carries the supporting cast: the shift operators on count vectors,
 a closed-form basis of the conditioned-to-zero kernel space, coherent
 split enumeration, canonical symmetrization, and the Beta-function and
 star-binomial identities that make the HLS case collapse to zero.
@@ -18,7 +18,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Sequence
+from operator import add, sub
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .decomp import SymmetricKernel, composition_list
 from .exactnum import (
@@ -203,7 +204,8 @@ def characterization_sum(
     over allocations q of up to u fresh draws to the first K-1 colors with
     sign (-1)^{q_1}, a star-multinomial factor on k_1+q_1 against
     m - (k+q) tails, and the conditional probability of reaching counts
-    z+q from counts k+q with u-1 draws.
+    z+q from counts k+q with u-1 draws.  verify_hd regroups the same sum
+    to share it across m; this per-tuple form is its reference.
     """
     colors = law.K
     if colors < 3:
@@ -292,19 +294,81 @@ class VerificationReport:
         }
 
 
-def _criterion_tuples(
-    colors: int, n_max: int
-) -> Iterator[tuple[int, int, Composition, tuple[int, ...]]]:
-    for n in range(2, n_max + 1):
-        for u in range(2, n + 1):
-            for z in compositions(n - 1, colors):
-                for m in xi_index_set(n, colors):
-                    yield n, u, z, tuple(m)
+class _CylinderTable(dict):
+    """P_n(i) of one law keyed by plain count tuple, each filled once from
+    law.cylinder on first lookup."""
+
+    def __init__(self, law: ExchangeableLaw) -> None:
+        super().__init__()
+        self.law = law
+
+    def __missing__(self, i: tuple[int, ...]) -> Rational:
+        p = self[i] = self.law.cylinder(Composition(i))
+        return p
 
 
-def _entry_value(args: tuple) -> Fraction:
-    law, n, u, z, m = args
-    return characterization_sum(law, n, u, z, m)
+def _group_values(table: _CylinderTable, n: int, u: int, z: Composition) -> list[Rational]:
+    """characterization_sum(law, n, u, z, m) for every m in
+    xi_index_set(n, K), in that order, from one walk over the coherent
+    splits k and fresh-draw allocations q.
+
+    Only the star factor depends on m, and it reads only the pooled counts
+    k+q, as do the sign (-1)^(k+q)_1 and the denominator P(k+q).  So the
+    m-independent weights
+    multinomial(n-u, k) * multinomial(u, q) * multinomial(u-1, z_head - k)
+    * P(z+q) / P(k+q) are summed per k+q first, and each m then costs one
+    star factor per distinct k+q.  Both sums run over integer numerators
+    on a common denominator: the exact sum is regrouped, never rounded.
+    """
+    head = len(z) - 1
+    allocations = [
+        (*q, u - a) for a in range(u + 1) for q in compositions(a, head)
+    ]
+    # P(z+q) over one common denominator, so the weights sum as integers
+    coefs, coef_den = _common_denominator(
+        multinomial(u, q[:head]) * table[tuple(map(add, z, q))] for q in allocations
+    )
+    weights: dict[tuple[int, ...], int] = {}
+    for k in coherent_splits(n - 1, n - u, z):
+        ka_full = (*k, (n - u) - sum(k))
+        outer = multinomial(n - u, k) * multinomial(u - 1, tuple(map(sub, z[:head], k)))
+        for q, coef in zip(allocations, coefs):
+            kq = tuple(map(add, ka_full, q))
+            term = outer * coef
+            weights[kq] = weights.get(kq, 0) + (-term if kq[0] % 2 else term)
+    keys = [kq for kq, w in weights.items() if w]
+    nums, den = _common_denominator(
+        Fraction(weights[kq], coef_den) / table[kq] for kq in keys
+    )
+    values = []
+    for m in xi_index_set(n, len(z)):
+        total = 0
+        for kq, num in zip(keys, nums):
+            star = multinomial_star(kq[0], tuple(map(sub, m, kq[1:head])))
+            if star:
+                total += star * num
+        values.append(Fraction(total, den))
+    return values
+
+
+def _common_denominator(values: Iterable[Rational]) -> tuple[list[int], int]:
+    """Numerators of the values over their least common denominator."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+# One cylinder table per pool worker; the pool serves a single law.
+_worker_table: Optional[_CylinderTable] = None
+
+
+def _start_worker(law: ExchangeableLaw) -> None:
+    global _worker_table
+    _worker_table = _CylinderTable(law)
+
+
+def _worker_group(group: tuple[int, int, Composition]) -> list[Rational]:
+    return _group_values(_worker_table, *group)
 
 
 def default_jobs() -> int:
@@ -323,9 +387,12 @@ def default_jobs() -> int:
 def verify_hd(law: ExchangeableLaw, n_max: int, jobs: int = 1) -> VerificationReport:
     """Evaluate the criterion over every tuple with 2 <= n <= n_max.
 
-    Entries are enumerated in a fixed lexicographic order and evaluated
-    independently (in parallel when jobs > 1), so reports are byte-stable
-    for a given (law, n_max) regardless of scheduling.
+    Work is split into (n, u, z) groups, each evaluating the criterion for
+    every kernel index m at once; groups run in parallel on
+    min(jobs, cpu count, group count) workers when that exceeds 1.
+    Entries are listed in the fixed lexicographic order (n, u, z, m), so
+    reports are byte-stable for a given (law, n_max) regardless of
+    scheduling.
     """
     if law.K < 3:
         raise ValueError(_K2_HINT)
@@ -333,16 +400,26 @@ def verify_hd(law: ExchangeableLaw, n_max: int, jobs: int = 1) -> VerificationRe
         raise ValueError("verify_hd needs n_max >= 2")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    tuples = list(_criterion_tuples(law.K, n_max))
-    args = [(law, n, u, z, m) for n, u, z, m in tuples]
-    if jobs > 1 and len(args) > 1:
-        chunk = max(1, len(args) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(_entry_value, args, chunksize=chunk))
+    groups = [
+        (n, u, z)
+        for n in range(2, n_max + 1)
+        for u in range(2, n + 1)
+        for z in compositions(n - 1, law.K)
+    ]
+    workers = min(jobs, os.cpu_count() or 1, len(groups))
+    if workers > 1:
+        chunk = max(1, len(groups) // (workers * 8))
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_start_worker, initargs=(law,)
+        ) as pool:
+            values = list(pool.map(_worker_group, groups, chunksize=chunk))
     else:
-        values = [_entry_value(a) for a in args]
+        table = _CylinderTable(law)
+        values = [_group_values(table, *group) for group in groups]
     entries = tuple(
-        VerificationEntry(n, u, z, m, v) for (n, u, z, m), v in zip(tuples, values)
+        VerificationEntry(n, u, z, tuple(m), v)
+        for (n, u, z), group_values in zip(groups, values)
+        for m, v in zip(xi_index_set(n, law.K), group_values)
     )
     return VerificationReport(format_law(law), n_max, entries)
 

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import traceback
 from fractions import Fraction
 from typing import Optional
@@ -42,11 +43,30 @@ def _load_law(spec: str) -> laws.ExchangeableLaw:
 
 
 def _write(text: str, out: Optional[str]) -> None:
-    if out:
+    """Write to stdout, or to the file out through a temporary file in the
+    same directory renamed over it, so a failed run never leaves a
+    truncated report."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    if os.path.exists(out) and not os.path.isfile(out):
+        # a pipe or device (say /dev/stdout) cannot be renamed over
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(os.path.abspath(out)), prefix=".hoeffding-", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # the mode open() would have given
+        os.replace(tmp, out)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _emit(obj: dict, out: Optional[str]) -> None:
@@ -71,7 +91,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
         return 2
     report = characterization.verify_hd(law, args.n_max, jobs=_jobs(args))
-    _emit(report.to_jsonable(zeros_only=args.zeros_only), args.out)
+    _emit(report.to_jsonable(zeros_only=args.include_zeros), args.out)
     return 0 if report.all_zero else 1
 
 
@@ -339,9 +359,15 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--law", required=True, help="law spec string or JSON file")
     verify.add_argument("--n-max", type=int, required=True)
     verify.add_argument("--out", help="write the JSON report here (default stdout)")
-    verify.add_argument("--jobs", type=int, help="parallel workers (default: all cores)")
     verify.add_argument(
-        "--zeros-only",
+        "--jobs",
+        type=int,
+        help="parallel workers, at most the core count (default: all cores)",
+    )
+    verify.add_argument(
+        "--include-zeros",
+        "--zeros-only",  # the older, misleading name, kept as an alias
+        dest="include_zeros",
         type=_parse_bool,
         default=True,
         help="include zero-valued entries in the report; "

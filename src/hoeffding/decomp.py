@@ -549,9 +549,14 @@ def _table_from_jsonable(obj: dict, cls):
     for item in raw:
         try:
             comp = Composition(item["composition"])
-            values[comp] = parse_rational(item["value"])
+            value = item["value"]
+            # as in law files: a JSON integer or a "num/den" string, never a
+            # boolean or a float
+            if type(value) not in (int, str):
+                raise TypeError(f"value must be an integer or a string, got {value!r}")
+            values[comp] = parse_rational(value)
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed value entry {item!r}") from exc
+            raise ValueError(f"malformed value entry {item!r}: {exc}") from exc
     return cls(order, colors, values)
 
 

@@ -13,7 +13,7 @@ from itertools import product
 
 import pytest
 
-from hoeffding import linalg
+from hoeffding import characterization, linalg
 from hoeffding.characterization import (
     IdentityResult,
     VerificationEntry,
@@ -296,6 +296,31 @@ class TestVerifyHd:
         parallel = verify_hd(MIX, 3, jobs=2)
         assert sequential == parallel
         assert sequential.to_jsonable() == parallel.to_jsonable()
+
+    @pytest.mark.parametrize("law, n_max", [
+        (IID_REF, 5), (POLYA_REF, 5), (HLS3, 5), (HLS4, 4), (MIX, 5),
+    ])
+    def test_every_entry_matches_the_per_tuple_sum(self, law, n_max):
+        report = verify_hd(law, n_max)
+        for e in report.entries:
+            assert e.value == characterization_sum(law, e.n, e.u, e.z, e.m), e
+        if law is MIX:
+            assert sum(1 for e in report.entries if e.value) > 100
+
+    @pytest.mark.parametrize("jobs, cores, n_max, workers", [
+        (10**6, 2, 3, 2),      # capped by the core count
+        (64, 32, 2, 3),        # capped by the three (n, u, z) groups of n_max 2
+        (3, 8, 3, 3),          # the request itself
+        (10**6, None, 3, None),  # unknown core count: one core, no pool
+        (1, 8, 3, None),
+    ])
+    def test_worker_count_is_capped(
+        self, monkeypatch, recording_pool, jobs, cores, n_max, workers
+    ):
+        monkeypatch.setattr(characterization.os, "cpu_count", lambda: cores)
+        report = verify_hd(MIX, n_max, jobs=jobs)
+        assert recording_pool == ([] if workers is None else [workers])
+        assert report == verify_hd(MIX, n_max)
 
     def test_jsonable_schema_and_zeros_only(self):
         report = verify_hd(MIX, 2)

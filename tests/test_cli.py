@@ -7,10 +7,13 @@ suite runs with capture off."""
 import contextlib
 import io
 import json
+import os
+import stat
+import threading
 
 import pytest
 
-from hoeffding import laws
+from hoeffding import characterization, cli, laws
 from hoeffding.cli import main
 from hoeffding.decomp import SymmetricStatistic, table_to_jsonable
 from hoeffding.laws import law_to_jsonable, parse_law
@@ -82,6 +85,66 @@ class TestVerify:
              "--out", str(out_path)])
         assert code == 0 and out == ""
         assert json.loads(out_path.read_text())["all_zero"] is True
+
+    def test_include_zeros_and_its_alias_give_identical_bytes(self):
+        argv = ["verify", "--law", "mixture:w=1/2,1/2;p1=1/2,1/4,1/4;p2=1/4,1/4,1/2",
+                "--n-max", "3"]
+        for flag in ("true", "false"):
+            new = run_cli(argv + ["--include-zeros", flag])
+            old = run_cli(argv + ["--zeros-only", flag])
+            assert new == old and new[0] == 1
+        assert run_cli(argv + ["--include-zeros", "true"]) == run_cli(argv)
+
+    def test_out_file_is_complete_and_leaves_no_temporary(self, tmp_path):
+        out_path = tmp_path / "report.json"
+        out_path.write_text("stale")
+        argv = ["verify", "--law", "hls:K=3,pi=1,nu=2,alpha=1/2", "--n-max", "3"]
+        code, stdout, _ = run_cli(argv)
+        assert run_cli(argv + ["--out", str(out_path)]) == (code, "", "")
+        assert out_path.read_text() == stdout
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_failed_write_keeps_the_old_report(self, tmp_path, monkeypatch):
+        out_path = tmp_path / "report.json"
+        out_path.write_text("old report")
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        code, _, err = run_cli(["verify", "--law", "hls:K=3,pi=1,nu=2,alpha=1/2",
+                                "--n-max", "2", "--out", str(out_path)])
+        assert code == 3 and "disk full" in err
+        assert out_path.read_text() == "old report"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_out_to_a_pipe_writes_through(self, tmp_path):
+        # a pipe or device must be written, never renamed over
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+
+        def read():
+            with open(pipe, encoding="utf-8") as fh:
+                received.append(fh.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        argv = ["identity", "pascal-star"]
+        code, stdout, _ = run_cli(argv)
+        assert run_cli(argv + ["--out", str(pipe)]) == (code, "", "")
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert received == [stdout] and stat.S_ISFIFO(os.stat(pipe).st_mode)
+
+    def test_jobs_from_the_environment_are_capped(self, monkeypatch, recording_pool):
+        monkeypatch.setattr(characterization.os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("HOEFFDING_JOBS", "1000000")
+        argv = ["verify", "--law", "polya:alpha=1,2,3", "--n-max", "3"]
+        capped = run_cli(argv)
+        assert recording_pool == [3]
+        assert capped == run_cli(argv + ["--jobs", "1"])
+        assert recording_pool == [3]
 
 
 class TestOracle:
@@ -271,6 +334,19 @@ class TestErrorChannel:
             ["decompose", "--law", "iid:p=1/2,1/3,1/6", "--statistic", str(path)])
         assert code == 2 and out == ""
         assert err.startswith("error:") and "order" in err
+
+    @pytest.mark.parametrize("field, raw", [
+        ("value", True), ("value", 0.5), ("composition", [True, 1, 1]),
+    ])
+    def test_statistic_entries_are_never_coerced(self, tmp_path, field, raw):
+        path = statistic_file(tmp_path)
+        obj = json.loads(path.read_text())
+        obj["values"][0][field] = raw
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(
+            ["decompose", "--law", "iid:p=1/2,1/3,1/6", "--statistic", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: malformed value entry")
 
     def test_internal_error_exits_three(self, monkeypatch):
         def broken(*args, **kwargs):

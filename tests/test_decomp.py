@@ -493,6 +493,19 @@ class TestJson:
         with pytest.raises(ValueError):
             statistic_from_jsonable({"order": 2})
 
+    @pytest.mark.parametrize("field, raw", [
+        ("value", True),           # a boolean is not the number 1
+        ("value", 0.1),            # a float is not the rational 1/10
+        ("composition", [True, 0, 1]),
+    ])
+    def test_values_and_counts_are_never_coerced(self, field, raw):
+        obj = table_to_jsonable(SymmetricStatistic.constant(1, 3, 1))
+        obj["values"][0][field] = raw
+        with pytest.raises(ValueError, match="malformed value entry"):
+            statistic_from_jsonable(obj)
+        with pytest.raises(ValueError, match="malformed value entry"):
+            kernel_from_jsonable(obj)
+
     def test_load_statistic_file(self, tmp_path):
         t = SymmetricStatistic.from_function(2, 3, lambda c: c[1])
         path = tmp_path / "stat.json"
