@@ -3,7 +3,9 @@
 The digests pin every byte of the reports (key order, rational formatting,
 law spec strings), so a refactor of the law families or of the report
 writers cannot change an output without failing here.  A JSON law file
-must give the same bytes as the inline spec it encodes.
+must give the same bytes as the inline spec it encodes.  The `decompose`
+digests pin the layers, the kernel of each layer and the degeneracy
+witnesses.
 """
 
 import contextlib
@@ -14,6 +16,7 @@ import json
 import pytest
 
 from hoeffding.cli import main
+from hoeffding.exactnum import compositions
 
 LAWS = {
     "iid": "iid:p=1/2,1/3,1/6",
@@ -41,6 +44,27 @@ GOLDEN = {
     ("mixture", "oracle"): (1, "bcff59b653d4a00326f6cc92f76041f4f65d089099822c22f629f0aa112d1ddd"),
 }
 
+# law -> sha256 of `decompose` stdout for golden_statistic(3, K); all exit 0
+DECOMPOSE_GOLDEN = {
+    "hls3": "2dd115777987464f46784dae3245ded1a547f403658be4b1ce8893c24fb483a5",
+    "hls3b": "446c6f9c9c29a19e839545be220ee58e71d210a82b70cb9af7fd97ebf30efb7d",
+    "hls4": "71fbfad3ce064de28a9046d6ac166d3f026ebc04f9f427495e39ab3309b47945",
+    "iid": "b177c1bc789ebb5a2601439d55b5a9203d1ccacf2499a783ff91a950acea2902",
+    "mixture": "a57abe4d51d85cbcb3b9ff9b0530cfbf2e928e485439f80d00a62f066aede2a9",
+    "polya": "03dedb33e62fd103023fb0104607b38cdbeafde9218e7f5d332190b683566ee4",
+}
+
+
+def golden_statistic(order, colors):
+    """A fixed statistic with distinct rational values and no symmetry in
+    the colors, as the JSON a statistic file holds."""
+    values = []
+    for c in compositions(order, colors):
+        num = 1 + sum((j + 1) ** 2 * x for j, x in enumerate(c)) + 3 * c[0] * c[-1] - c[1] ** 3
+        den = 1 + c[0] + 2 * c[1]
+        values.append({"composition": list(c), "value": f"{num}/{den}"})
+    return {"order": order, "K": colors, "values": values}
+
 
 def run_digest(argv):
     out = io.StringIO()
@@ -61,3 +85,12 @@ def test_hls_json_file_matches_inline_spec(tmp_path):
         {"family": "hls", "K": 3, "pi": "1/1", "nu": "2/1", "alpha": ["1/2"]}))
     argv = ["verify", "--law", str(path), "--n-max", "3"]
     assert run_digest(argv) == GOLDEN["hls3", "verify"]
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSE_GOLDEN))
+def test_decompose_digest(name, tmp_path):
+    colors = 4 if name == "hls4" else 3
+    path = tmp_path / "statistic.json"
+    path.write_text(json.dumps(golden_statistic(3, colors)))
+    argv = ["decompose", "--law", LAWS[name], "--statistic", str(path)]
+    assert run_digest(argv) == (0, DECOMPOSE_GOLDEN[name])
