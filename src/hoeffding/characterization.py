@@ -279,8 +279,8 @@ class VerificationReport:
                 return entry
         return None
 
-    def to_jsonable(self, zeros_only: bool = True) -> dict:
-        # zeros_only=False drops zero-valued entries, keeping the report small
+    def to_jsonable(self, include_zeros: bool = True) -> dict:
+        # include_zeros=False drops zero-valued entries, keeping the report small
         first = self.first_nonzero
         return {
             "schema_version": 1,
@@ -288,7 +288,7 @@ class VerificationReport:
             "n_max": self.n_max,
             "all_zero": self.all_zero,
             "entries": [
-                e.to_jsonable() for e in self.entries if zeros_only or e.value != 0
+                e.to_jsonable() for e in self.entries if include_zeros or e.value != 0
             ],
             "first_nonzero": first.to_jsonable() if first is not None else None,
         }

@@ -42,21 +42,32 @@ def _load_law(spec: str) -> laws.ExchangeableLaw:
     return laws.parse_law(spec)
 
 
+def _unwritable(out: str, exc: OSError) -> ValueError:
+    return ValueError(f"cannot write {out}: {exc.strerror or exc}")
+
+
 def _write(text: str, out: Optional[str]) -> None:
     """Write to stdout, or to the file out through a temporary file in the
     same directory renamed over it, so a failed run never leaves a
-    truncated report."""
+    truncated report.  A path that cannot be opened is an input error."""
     if not out:
         sys.stdout.write(text)
         return
     if os.path.exists(out) and not os.path.isfile(out):
         # a pipe or device (say /dev/stdout) cannot be renamed over
-        with open(out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise _unwritable(out, exc) from exc
+        with fh:
             fh.write(text)
         return
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(os.path.abspath(out)), prefix=".hoeffding-", suffix=".tmp"
-    )
+    try:
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(out)), prefix=".hoeffding-", suffix=".tmp"
+        )
+    except OSError as exc:
+        raise _unwritable(out, exc) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -91,7 +102,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
         return 2
     report = characterization.verify_hd(law, args.n_max, jobs=_jobs(args))
-    _emit(report.to_jsonable(zeros_only=args.include_zeros), args.out)
+    _emit(report.to_jsonable(include_zeros=args.include_zeros), args.out)
     return 0 if report.all_zero else 1
 
 

@@ -161,7 +161,10 @@ class SymmetricStatistic(_CompositionTable):
 @lru_cache(maxsize=None)
 def _ustat_matrix(n: int, k: int, colors: int) -> tuple[tuple[int, ...], ...]:
     # rows: compositions of n; columns: compositions of k; entry = number of
-    # k-subsets with counts c inside a sequence with counts i.
+    # k-subsets with counts c inside a sequence with counts i.  For k <= n
+    # the rows c + (n-k)e_1 form a triangular block with a nonzero diagonal,
+    # so the columns are independent: each U-statistic has one kernel, and
+    # for k = n the matrix is the identity.
     subs = composition_list(k, colors)
     rows = []
     for i in composition_list(n, colors):
@@ -200,11 +203,8 @@ def u_statistic(phi: SymmetricKernel, n: int) -> SymmetricStatistic:
     return SymmetricStatistic(n, phi.colors, values)
 
 
-@lru_cache(maxsize=None)
-def _class_weights(law: ExchangeableLaw, n: int) -> tuple[Fraction, ...]:
-    return tuple(
-        class_size(i) * cylinder_prob(law, i) for i in composition_list(n, law.K)
-    )
+def _class_weights(law: ExchangeableLaw, n: int) -> list[Fraction]:
+    return [class_size(i) * cylinder_prob(law, i) for i in composition_list(n, law.K)]
 
 
 def inner_product(
@@ -235,10 +235,9 @@ def su_basis(law: ExchangeableLaw, n: int, k: int) -> list[SymmetricStatistic]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _su_gram(law: ExchangeableLaw, n: int, k: int) -> tuple[tuple[Fraction, ...], ...]:
-    matrix = _ustat_matrix(n, k, law.K)
-    weights = _class_weights(law, n)
+def _su_gram(
+    matrix: Sequence[Sequence[int]], weights: Sequence[Fraction]
+) -> list[list[Fraction]]:
     ncols = len(matrix[0])
     gram = []
     for a in range(ncols):
@@ -249,18 +248,19 @@ def _su_gram(law: ExchangeableLaw, n: int, k: int) -> tuple[tuple[Fraction, ...]
                 if mrow[a] and mrow[b]:
                     acc += w * mrow[a] * mrow[b]
             row.append(acc)
-        gram.append(tuple(row))
-    return tuple(gram)
+        gram.append(row)
+    return gram
 
 
 def _project_su(
-    law: ExchangeableLaw, n: int, k: int, tvec: Sequence[Fraction]
+    matrix: Sequence[Sequence[int]],
+    weights: Sequence[Fraction],
+    tvec: Sequence[Fraction],
 ) -> list[Fraction]:
-    # Orthogonal projection onto SU_k via the normal equations of the
-    # indicator U-statistic spanning set; any solution gives the (unique)
-    # projection even when the Gram matrix is singular.
-    matrix = _ustat_matrix(n, k, law.K)
-    weights = _class_weights(law, n)
+    # Orthogonal projection onto the span of the columns of matrix (the
+    # indicator U-statistics of one order) via the normal equations.  The
+    # columns are independent and every class has positive probability, so
+    # the Gram matrix is positive definite and the solve is unique.
     ncols = len(matrix[0])
     rhs = []
     for a in range(ncols):
@@ -269,7 +269,7 @@ def _project_su(
             if mrow[a] and tv:
                 acc += w * mrow[a] * tv
         rhs.append(acc)
-    coef = linalg.solve(_su_gram(law, n, k), rhs)
+    coef = linalg.solve(_su_gram(matrix, weights), rhs)
     assert coef is not None, "normal equations are always consistent"
     return [
         sum((c * mrow[a] for a, c in enumerate(coef) if c and mrow[a]), Fraction(0))
@@ -291,36 +291,48 @@ def decompose(
         raise ValueError("statistic must match the stated order and alphabet")
     comps = composition_list(n, law.K)
     tvec = statistic.as_vector(comps)
+    weights = _class_weights(law, n)
     parts = []
     prev = [Fraction(0)] * len(comps)
     for k in range(n + 1):
-        proj = _project_su(law, n, k, tvec)
+        # SU_n is the whole space, so F_n = T - P_{n-1} T
+        proj = tvec if k == n else _project_su(_ustat_matrix(n, k, law.K), weights, tvec)
         values = {c: a - b for c, a, b in zip(comps, proj, prev)}
         parts.append(SymmetricStatistic(n, law.K, values))
         prev = proj
     return parts
 
 
-def kernel_for(
-    law: ExchangeableLaw, n: int, statistic: SymmetricStatistic, k: int
-) -> SymmetricKernel:
-    """A canonical order-k kernel whose U-statistic equals the statistic.
-
-    The statistic must lie in SU_k (exact linear solve); among all kernels
-    with the right image the one of minimum Euclidean norm on kernel
-    values is returned.  The law only fixes the alphabet here: membership
-    in SU_k is a statement about class functions, not probabilities.
-    """
+def _solve_kernel(
+    law: ExchangeableLaw, n: int, statistic: SymmetricStatistic, k: int, caller: str
+) -> Optional[SymmetricKernel]:
+    # One exact solve of the U-statistic equations; _ustat_matrix has full
+    # column rank, so the kernel is unique.  None when the statistic is
+    # outside SU_k.
     if statistic.order != n or statistic.colors != law.K:
         raise ValueError("statistic must match the stated order and alphabet")
     if not 0 <= k <= n:
-        raise ValueError(f"kernel_for needs 0 <= k <= n, got k={k}")
-    matrix = [list(row) for row in _ustat_matrix(n, k, law.K)]
-    x = linalg.min_norm_solve(matrix, statistic.as_vector())
+        raise ValueError(f"{caller} needs 0 <= k <= n, got k={k}")
+    x = linalg.solve(_ustat_matrix(n, k, law.K), statistic.as_vector())
     if x is None:
+        return None
+    return SymmetricKernel(k, law.K, dict(zip(composition_list(k, law.K), x)))
+
+
+def kernel_for(
+    law: ExchangeableLaw, n: int, statistic: SymmetricStatistic, k: int
+) -> SymmetricKernel:
+    """The unique order-k kernel whose U-statistic equals the statistic.
+
+    The statistic must lie in SU_k (exact linear solve).  The U-statistic
+    map on order-k kernels is injective for every k <= n, so the kernel is
+    unique.  The law only fixes the alphabet here: membership in SU_k is a
+    statement about class functions, not probabilities.
+    """
+    phi = _solve_kernel(law, n, statistic, k, "kernel_for")
+    if phi is None:
         raise ValueError(f"statistic is not in SU_{k}")
-    comps_k = composition_list(k, law.K)
-    return SymmetricKernel(k, law.K, dict(zip(comps_k, x)))
+    return phi
 
 
 @dataclass(frozen=True)
@@ -355,31 +367,14 @@ def degenerate_kernel_for(
 ) -> Optional[SymmetricKernel]:
     """A completely degenerate order-k kernel representing the statistic.
 
-    Solves the U-statistic equations and the degeneracy constraints as one
-    exact linear system; returns None when no such kernel exists.  For
-    k = 0 the degeneracy constraints are vacuous.
+    The kernel of a statistic in SU_k is unique, so this is that kernel
+    when it is completely degenerate, and None when it is not or when the
+    statistic is outside SU_k.  For k = 0 degeneracy is vacuous.
     """
-    if statistic.order != n or statistic.colors != law.K:
-        raise ValueError("statistic must match the stated order and alphabet")
-    if not 0 <= k <= n:
-        raise ValueError(f"degenerate_kernel_for needs 0 <= k <= n, got k={k}")
-    comps_k = composition_list(k, law.K)
-    col = {c: idx for idx, c in enumerate(comps_k)}
-    rows: list[list[Fraction]] = [
-        [Fraction(x) for x in row] for row in _ustat_matrix(n, k, law.K)
-    ]
-    rhs: list[Fraction] = statistic.as_vector()
-    if k >= 1:
-        for h in composition_list(k - 1, law.K):
-            row = [Fraction(0)] * len(comps_k)
-            for j in range(law.K):
-                row[col[h.increment(j)]] += predictive_prob(law, h, j)
-            rows.append(row)
-            rhs.append(Fraction(0))
-    x = linalg.solve(rows, rhs)
-    if x is None:
-        return None
-    return SymmetricKernel(k, law.K, dict(zip(comps_k, x)))
+    phi = _solve_kernel(law, n, statistic, k, "degenerate_kernel_for")
+    if phi is None or k == 0 or is_completely_degenerate(law, phi).degenerate:
+        return phi
+    return None
 
 
 def xi_constraint_matrix(law: ExchangeableLaw, n: int) -> list[list[Fraction]]:
@@ -516,10 +511,11 @@ def sh_dims(law: ExchangeableLaw, n: int) -> list[int]:
     """Dimensions [dim SH_0, ..., dim SH_n] via exact Gram-matrix ranks."""
     if n < 0:
         raise ValueError("sh_dims needs n >= 0")
+    weights = _class_weights(law, n)
     dims = []
     prev_rank = 0
     for k in range(n + 1):
-        rk = linalg.rank(_su_gram(law, n, k))
+        rk = linalg.rank(_su_gram(_ustat_matrix(n, k, law.K), weights))
         dims.append(rk - prev_rank)
         prev_rank = rk
     return dims
@@ -569,9 +565,11 @@ def statistic_from_jsonable(obj: dict) -> SymmetricStatistic:
 
 
 def load_statistic_file(path: str) -> SymmetricStatistic:
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"statistic file {path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ValueError(f"cannot read statistic file {path}: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"statistic file {path} is not valid JSON: {exc}") from exc
     return statistic_from_jsonable(obj)

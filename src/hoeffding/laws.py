@@ -481,9 +481,11 @@ def law_from_jsonable(obj: dict) -> ExchangeableLaw:
 
 
 def load_law_file(path: str) -> ExchangeableLaw:
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"law file {path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ValueError(f"cannot read law file {path}: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"law file {path} is not valid JSON: {exc}") from exc
     return law_from_jsonable(obj)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-__all__ = ["row_echelon", "rank", "nullspace", "solve", "min_norm_solve"]
+__all__ = ["row_echelon", "rank", "nullspace", "solve"]
 
 Matrix = Sequence[Sequence["Fraction | int"]]
 
@@ -119,33 +119,3 @@ def solve(a_rows: Matrix, b: Sequence["Fraction | int"]) -> Optional[list[Fracti
     x[ncols_a] = Fraction(-1)
     return _back_substitute(ech, x)[:ncols_a]
 
-
-def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def min_norm_solve(
-    a_rows: Matrix, b: Sequence["Fraction | int"]
-) -> Optional[list[Fraction]]:
-    """The minimum Euclidean-norm solution of A x = b, or None if inconsistent.
-
-    Computed by subtracting from a particular solution its projection onto
-    the null space; the Gram system of a null-space basis is positive
-    definite, so the projection is exact and unique.
-    """
-    x0 = solve(a_rows, b)
-    if x0 is None:
-        return None
-    null = nullspace(a_rows)
-    if not null:
-        return x0
-    gram = [[_dot(u, v) for v in null] for u in null]
-    rhs = [_dot(u, x0) for u in null]
-    alpha = solve(gram, rhs)
-    assert alpha is not None
-    out = list(x0)
-    for coef, vec in zip(alpha, null):
-        if coef:
-            for j, vj in enumerate(vec):
-                out[j] -= coef * vj
-    return out

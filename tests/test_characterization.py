@@ -324,7 +324,7 @@ class TestVerifyHd:
 
     def test_jsonable_schema_and_zeros_only(self):
         report = verify_hd(MIX, 2)
-        full = report.to_jsonable(zeros_only=True)
+        full = report.to_jsonable(include_zeros=True)
         assert set(full) == {
             "schema_version", "law", "n_max", "all_zero", "entries", "first_nonzero",
         }
@@ -332,7 +332,7 @@ class TestVerifyHd:
         assert full["all_zero"] is False
         assert len(full["entries"]) == 9
         assert full["entries"][0]["value"] == "0/1"
-        trimmed = report.to_jsonable(zeros_only=False)
+        trimmed = report.to_jsonable(include_zeros=False)
         assert all(e["value"] != "0/1" for e in trimmed["entries"])
         assert trimmed["first_nonzero"] == full["first_nonzero"]
         assert trimmed["first_nonzero"] == {

@@ -348,6 +348,27 @@ class TestErrorChannel:
         assert code == 2 and out == ""
         assert err.startswith("error: malformed value entry")
 
+    @pytest.mark.parametrize("case", ["out-dir-missing", "statistic-missing", "law-is-a-directory"])
+    def test_unusable_path_is_an_input_error(self, tmp_path, case):
+        stat_path = statistic_file(tmp_path)
+        law = "iid:p=1/2,1/3,1/6"
+        named, argv = {
+            "out-dir-missing": (
+                tmp_path / "missing" / "x.json", ["identity", "pascal-star", "--out"]),
+            "statistic-missing": (
+                tmp_path / "missing.json", ["decompose", "--law", law, "--statistic"]),
+            "law-is-a-directory": (
+                tmp_path, ["decompose", "--statistic", str(stat_path), "--law"]),
+        }[case]
+        argv = argv + [str(named)]
+        if case != "out-dir-missing":
+            argv += ["--out", str(tmp_path / "report.json")]
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(named) in err
+        assert [p.name for p in tmp_path.iterdir()] == ["stat.json"]
+
     def test_internal_error_exits_three(self, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("broken on purpose")

@@ -36,6 +36,7 @@ from hoeffding.decomp import (
     weak_independence_oracle,
     xi_constraint_matrix,
     xi_nullspace_basis,
+    _ustat_matrix,
 )
 from hoeffding.exactnum import Composition, composition_count, compositions
 from hoeffding.laws import cylinder_prob, parse_law, predictive_prob
@@ -239,6 +240,19 @@ class TestDecompose:
 
 
 class TestKernelFor:
+    def test_ustat_matrix_has_full_column_rank(self):
+        # kernel_for returns the one solution of its solve as the kernel and
+        # decompose takes SU_n as the whole space; both rest on this
+        for colors in range(1, 6):
+            for n in range(6 if colors == 5 else 7):
+                for k in range(n + 1):
+                    assert linalg.nullspace(_ustat_matrix(n, k, colors)) == []
+                size = len(composition_list(n, colors))
+                identity = tuple(
+                    tuple(int(r == c) for c in range(size)) for r in range(size)
+                )
+                assert _ustat_matrix(n, n, colors) == identity
+
     def test_round_trip_on_u_statistic_images(self):
         rng = random.Random(13)
         for n in (2, 3, 4):
@@ -324,6 +338,7 @@ class TestDegenerateKernelFor:
                 assert phi is not None
                 assert is_completely_degenerate(law, phi).degenerate
                 assert u_statistic(phi, n) == parts[k]
+                assert phi == kernel_for(law, n, parts[k], k)
 
     @pytest.mark.parametrize("law", [IID_REF, POLYA_REF, HLS3])
     def test_degenerate_images_are_orthogonal_to_lower_layers(self, law):
