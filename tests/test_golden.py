@@ -5,7 +5,9 @@ law spec strings), so a refactor of the law families or of the report
 writers cannot change an output without failing here.  A JSON law file
 must give the same bytes as the inline spec it encodes.  The `decompose`
 digests pin the layers, the kernel of each layer and the degeneracy
-witnesses.
+witnesses.  The `simulate` digests pin every drawn color of fixed urn
+trajectories and Monte Carlo tables, so a change to the draw cannot move a
+single ball unnoticed.
 """
 
 import contextlib
@@ -54,6 +56,33 @@ DECOMPOSE_GOLDEN = {
     "polya": "03dedb33e62fd103023fb0104607b38cdbeafde9218e7f5d332190b683566ee4",
 }
 
+# name -> (simulate arguments, (exit code, sha256 of stdout)); the --steps
+# runs include a color that starts empty and a color of probability zero
+SIMULATE_GOLDEN = {
+    "polya-steps": (
+        "--urn polya --initial 0,2,3 --steps 200 --seed 5",
+        (0, "17f1b310611f2daf7fe6c5b925f6d15b62cdebd75a855dc52318e8103d8e7402")),
+    "constant-steps": (
+        "--urn constant --p 0,1/3,2/3 --steps 200 --seed 5",
+        (0, "2d6abf325bdcf13b1312a742a057c6e0e99dd14791208f40ca910437feffe536")),
+    "hls-steps": (
+        "--urn hls --pi 1 --nu 2 --alpha 1/2 --steps 200 --seed 5",
+        (0, "5a118a7d05da60c81334f0e67fef78737a4c37c445ce58c10dcd78c26f3de405")),
+    "polya-samples": (
+        "--urn polya --initial 1,2,3 --samples 2000 --n 3 --compare-exact --seed 7",
+        (0, "c389f91db4228e557beb1da72e2a99aba7ba179baad4768a8830c54da039b889")),
+    "constant-samples": (
+        "--urn constant --p 1/6,1/3,1/2 --samples 2000 --n 3 --compare-exact --seed 7",
+        (0, "28c6e79023461527ffdec4c9815bf27affe5dc05939eb486d85c8c6dd1ec0115")),
+    "hls-samples": (
+        "--urn hls --pi 1 --nu 2 --alpha 1/2 --samples 2000 --n 3 --compare-exact --seed 7",
+        (0, "bd004fca61b9220c38fdf536f1a9c2f91f0e04951b031558a4fa70cf77eb0df6")),
+    "hls4-split-samples": (
+        "--urn hls --pi 2 --nu 3 --alpha 1/4,1/3 --nu-split 1,2,0 "
+        "--samples 2000 --n 3 --compare-exact --seed 7",
+        (0, "7c1356bb979cc00a4874a24945328b2f2fe30e7bdf47869ea6c450d95c450197")),
+}
+
 
 def golden_statistic(order, colors):
     """A fixed statistic with distinct rational values and no symmetry in
@@ -94,3 +123,9 @@ def test_decompose_digest(name, tmp_path):
     path.write_text(json.dumps(golden_statistic(3, colors)))
     argv = ["decompose", "--law", LAWS[name], "--statistic", str(path)]
     assert run_digest(argv) == (0, DECOMPOSE_GOLDEN[name])
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_GOLDEN))
+def test_simulate_digest(name):
+    args, expected = SIMULATE_GOLDEN[name]
+    assert run_digest(["simulate", *args.split()]) == expected
