@@ -258,6 +258,8 @@ def _build_urn(args: argparse.Namespace) -> tuple[urnsim.UrnState, urnsim.UrnFun
         fn = urnsim.HLSUrn(alpha)
         colors = len(alpha) + 2
         if args.initial:
+            if args.pi is not None or args.nu is not None or args.nu_split:
+                raise ValueError("--initial excludes --pi, --nu and --nu-split")
             state = urnsim.UrnState(_parse_int_vector(args.initial))
         else:
             if args.pi is None or args.nu is None:
@@ -288,10 +290,7 @@ def _compare_law(args: argparse.Namespace, state: urnsim.UrnState) -> laws.Excha
     if args.urn == "constant":
         return laws.IID(_parse_rational_vector(args.p))
     alpha = _parse_rational_vector(args.alpha)
-    if args.pi is not None and args.nu is not None:
-        pi, nu = parse_rational(args.pi), parse_rational(args.nu)
-    else:
-        pi, nu = Fraction(state.counts[0]), Fraction(sum(state.counts[1:]))
+    pi, nu = Fraction(state.counts[0]), Fraction(sum(state.counts[1:]))
     return laws.HLS(len(alpha) + 2, pi, nu, alpha)
 
 
@@ -299,6 +298,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if (args.steps is None) == (args.samples is None):
         print("error: pass exactly one of --steps or --samples", file=sys.stderr)
         return 2
+    if args.steps is not None and (args.n is not None or args.compare_exact):
+        raise ValueError("--n and --compare-exact need --samples, not --steps")
     state, fn = _build_urn(args)
 
     if args.steps is not None:

@@ -308,12 +308,14 @@ def _solve_kernel(
 ) -> Optional[SymmetricKernel]:
     # One exact solve of the U-statistic equations; _ustat_matrix has full
     # column rank, so the kernel is unique.  None when the statistic is
-    # outside SU_k.
+    # outside SU_k.  For k = n the matrix is the identity and the kernel is
+    # the statistic itself.
     if statistic.order != n or statistic.colors != law.K:
         raise ValueError("statistic must match the stated order and alphabet")
     if not 0 <= k <= n:
         raise ValueError(f"{caller} needs 0 <= k <= n, got k={k}")
-    x = linalg.solve(_ustat_matrix(n, k, law.K), statistic.as_vector())
+    tvec = statistic.as_vector()
+    x = tvec if k == n else linalg.solve(_ustat_matrix(n, k, law.K), tvec)
     if x is None:
         return None
     return SymmetricKernel(k, law.K, dict(zip(composition_list(k, law.K), x)))

@@ -1,19 +1,20 @@
 """Seeded simulation of K-color reinforced urns.
 
-Three urn functions map the current color proportions to the draw
-distribution of the next ball: the identity (classical reinforcement),
-a constant vector (i.i.d. draws), and the two-parameter family whose
-non-first colors share the complement of the first proportion in fixed
-ratios.  Draws are made with exact rational arithmetic over a hash
-counter, so a (seed, sample, step) triple always yields the same color
-on every platform and under any execution order.
+Three urn functions map the current ball counts to integer weights for the
+next draw: the counts (classical reinforcement), a constant vector (i.i.d.
+draws), and the two-parameter family whose non-first colors share the
+complement of the first proportion in fixed ratios.  A draw cuts a SHA-256
+counter uniform at the cumulative weights reduced by their gcd, which are
+the exact rational thresholds of the drawn probabilities, so a (seed,
+sample, step) triple always yields the same color on every platform and
+under any execution order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -49,28 +50,13 @@ class UrnState:
             raise ValueError("the urn must contain at least one ball")
         object.__setattr__(self, "counts", counts)
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def proportions(self) -> tuple[Fraction, ...]:
-        total = self.total
-        return tuple(Fraction(c, total) for c in self.counts)
-
-    def add(self, j: int) -> "UrnState":
-        if not 0 <= j < len(self.counts):
-            raise ValueError(f"color index {j} out of range")
-        bumped = list(self.counts)
-        bumped[j] += 1
-        return UrnState(tuple(bumped))
-
 
 @dataclass(frozen=True)
 class IdentityUrn:
     """Draw proportional to current counts (classical reinforcement)."""
 
-    def probabilities(self, y: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(y)
+    def weights(self, counts: Sequence[int]) -> Sequence[int]:
+        return counts
 
 
 @dataclass(frozen=True)
@@ -78,6 +64,7 @@ class ConstantUrn:
     """Draw from a fixed distribution regardless of state: i.i.d. colors."""
 
     p: tuple[Rational, ...]
+    _weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = tuple(parse_rational(x) for x in self.p)
@@ -88,9 +75,11 @@ class ConstantUrn:
         if sum(p) != 1:
             raise ValueError("probabilities must sum to 1 exactly")
         object.__setattr__(self, "p", p)
+        denom = math.lcm(*(x.denominator for x in p))
+        object.__setattr__(self, "_weights", tuple(int(x * denom) for x in p))
 
-    def probabilities(self, y: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return self.p
+    def weights(self, counts: Sequence[int]) -> Sequence[int]:
+        return self._weights
 
 
 @dataclass(frozen=True)
@@ -100,6 +89,9 @@ class HLSUrn:
     alpha_{K-2}, 1 - sum(alpha)."""
 
     alpha: tuple[Rational, ...]
+    # D, the lcm of the alpha denominators, and alpha_t D, (1 - sum(alpha)) D
+    _scale: int = field(init=False, repr=False, compare=False)
+    _shares: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         alpha = tuple(parse_rational(x) for x in self.alpha)
@@ -110,11 +102,15 @@ class HLSUrn:
         if sum(alpha) >= 1:
             raise ValueError("ratios must sum to less than 1")
         object.__setattr__(self, "alpha", alpha)
+        scale = math.lcm(*(a.denominator for a in alpha))
+        object.__setattr__(self, "_scale", scale)
+        shares = tuple(int(a * scale) for a in (*alpha, 1 - sum(alpha)))
+        object.__setattr__(self, "_shares", shares)
 
-    def probabilities(self, y: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        rest = 1 - y[0]
-        tail = 1 - sum(self.alpha)
-        return (y[0], *(a * rest for a in self.alpha), tail * rest)
+    def weights(self, counts: Sequence[int]) -> Sequence[int]:
+        # the probabilities (y_1, alpha_t (1 - y_1), ...) times D * sum(counts)
+        rest = sum(counts) - counts[0]
+        return (counts[0] * self._scale, *(s * rest for s in self._shares))
 
 
 UrnFunction = Union[IdentityUrn, ConstantUrn, HLSUrn]
@@ -135,19 +131,17 @@ def _counter_uniform(seed: int, sample: int, step: int, bound: int) -> int:
         nonce += 1
 
 
-def _draw(probs: Sequence[Fraction], seed: int, sample: int, step: int) -> int:
-    if any(p < 0 for p in probs):
-        raise ValueError("urn function emitted a negative probability")
-    if sum(probs) != 1:
-        raise ValueError("urn function emitted probabilities not summing to 1")
-    denom = math.lcm(*(p.denominator for p in probs))
-    r = _counter_uniform(seed, sample, step, denom)
+def _draw(weights: Sequence[int], seed: int, sample: int, step: int) -> int:
+    # the reduced w_j / W have lcm denominator W / g (g the gcd of the
+    # weights) and numerators w_j / g over it: the exact rational thresholds
+    g = math.gcd(*weights)
+    r = _counter_uniform(seed, sample, step, sum(weights) // g)
     acc = 0
-    for j, p in enumerate(probs):
-        acc += p.numerator * (denom // p.denominator)
+    for j, w in enumerate(weights):
+        acc += w // g
         if r < acc:
             return j
-    raise AssertionError("unreachable: probabilities sum to 1")
+    raise AssertionError("unreachable: the weights sum to the bound")
 
 
 def simulate(
@@ -164,18 +158,14 @@ def simulate(
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    state = initial
-    colors = len(initial.counts)
+    counts = list(initial.counts)
+    if (emitted := len(fn.weights(counts))) != len(counts):
+        raise ValueError(f"urn function emits {emitted} colors, state has {len(counts)}")
     out = []
     for step in range(steps):
-        probs = fn.probabilities(state.proportions())
-        if len(probs) != colors:
-            raise ValueError(
-                f"urn function emits {len(probs)} colors, state has {colors}"
-            )
-        j = _draw(probs, seed, sample_index, step)
+        j = _draw(fn.weights(counts), seed, sample_index, step)
         out.append(j)
-        state = state.add(j)
+        counts[j] += 1
     return out
 
 

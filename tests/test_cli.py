@@ -283,6 +283,26 @@ class TestSimulate:
         code, _, err = run_cli(["simulate", "--urn", "polya", "--initial", "1,1"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        # the counts come from --initial, so --pi/--nu would only rename the law
+        "--urn hls --alpha 1/3 --initial 1,1,1 --pi 5 --nu 5 "
+        "--samples 2000 --n 2 --compare-exact --seed 3",
+        "--urn hls --alpha 1/2 --initial 1,1,1 --nu-split 1,1 --steps 3",
+        "--urn polya --initial 1,1 --steps 3 --compare-exact",
+        "--urn polya --initial 1,1 --steps 3 --n 2",
+    ], ids=["initial-pi-nu", "initial-nu-split", "steps-compare-exact", "steps-n"])
+    def test_ignored_flags_are_input_errors(self, argv):
+        code, out, err = run_cli(["simulate", *argv.split()])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_initial_fixes_the_compared_law(self):
+        code, out, _ = run_cli(
+            ["simulate", "--urn", "hls", "--alpha", "1/3", "--initial", "1,1,1",
+             "--samples", "300", "--n", "2", "--seed", "3", "--compare-exact"])
+        assert code == 0
+        assert json.loads(out)["law"] == "hls:K=3,pi=1,nu=2,alpha=1/3"
+
     def test_bad_nu_split(self):
         code, _, err = run_cli(
             ["simulate", "--urn", "hls", "--pi", "1", "--nu", "2",

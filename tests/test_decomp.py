@@ -262,6 +262,9 @@ class TestKernelFor:
                 back = kernel_for(IID_REF, n, f, k)
                 assert back.order == k
                 assert u_statistic(back, n) == f
+                # k = n skips eliminating the identity; same kernel
+                x = linalg.solve(_ustat_matrix(n, k, 3), f.as_vector())
+                assert back.as_vector() == x
 
     def test_constant_statistic_has_constant_kernel_image(self):
         f = SymmetricStatistic.constant(4, 3, math.comb(4, 2))

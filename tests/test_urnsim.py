@@ -1,10 +1,14 @@
-"""Urn simulation: state mechanics, the three urn functions, determinism
+"""Urn simulation: state validation, the integer weights of the three urn
+functions, the integer draw against exact rational thresholds, determinism
 of the hash-counter draws, and frequency agreement with exact class
 probabilities at loose Monte Carlo tolerances."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hoeffding.exactnum import Composition, compositions
 from hoeffding.laws import class_prob, cylinder_prob, parse_law
@@ -14,6 +18,8 @@ from hoeffding.urnsim import (
     HLSUrn,
     IdentityUrn,
     UrnState,
+    _counter_uniform,
+    _draw,
     empirical_cylinder,
     simulate,
     within_four_sigma,
@@ -22,17 +28,8 @@ from hoeffding.urnsim import (
 
 class TestUrnState:
     def test_basics(self):
-        state = UrnState((1, 2, 0))
-        assert state.total == 3
-        assert state.proportions() == (Fraction(1, 3), Fraction(2, 3), Fraction(0))
-
-    def test_add_returns_new_state(self):
-        state = UrnState((1, 2))
-        bumped = state.add(0)
-        assert bumped.counts == (2, 2)
-        assert state.counts == (1, 2)
-        with pytest.raises(ValueError):
-            state.add(2)
+        state = UrnState([1, 2, 0])
+        assert state.counts == (1, 2, 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -43,16 +40,20 @@ class TestUrnState:
             UrnState((0, 0))
 
 
+def ratios(weights):
+    total = sum(weights)
+    return tuple(Fraction(w, total) for w in weights)
+
+
 class TestUrnFunctions:
-    def test_identity_passes_proportions_through(self):
-        y = UrnState((1, 2, 3)).proportions()
-        assert IdentityUrn().probabilities(y) == y
+    def test_identity_weights_are_the_counts(self):
+        assert tuple(IdentityUrn().weights((1, 2, 3))) == (1, 2, 3)
 
     def test_constant_ignores_state(self):
         urn = ConstantUrn(("1/2", "1/3", "1/6"))
         for counts in ((1, 1, 1), (9, 1, 2)):
-            y = UrnState(counts).proportions()
-            assert urn.probabilities(y) == (
+            assert urn.weights(counts) == (3, 2, 1)
+            assert ratios(urn.weights(counts)) == (
                 Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
 
     def test_constant_validation(self):
@@ -65,14 +66,15 @@ class TestUrnFunctions:
 
     def test_hls_splits_the_complement_in_fixed_ratios(self):
         urn = HLSUrn(("1/2",))
-        assert urn.probabilities((Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))) \
-            == (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
-        assert urn.probabilities((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))) \
+        assert urn.weights((1, 1, 1)) == (2, 2, 2)
+        assert ratios(urn.weights((2, 1, 1))) \
             == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
         four = HLSUrn(("1/4", "1/4"))
-        probs = four.probabilities((Fraction(1, 5), 0, 0, 0))
-        assert probs == (Fraction(1, 5), Fraction(1, 5), Fraction(1, 5),
-                         Fraction(2, 5))
+        assert four.weights((1, 4, 0, 0)) == (4, 4, 4, 8)
+        assert ratios(four.weights((1, 0, 0, 4))) == (
+            Fraction(1, 5), Fraction(1, 5), Fraction(1, 5), Fraction(2, 5))
+        # a full first color leaves nothing for the others
+        assert four.weights((3, 0, 0, 0)) == (12, 0, 0, 0)
 
     def test_hls_validation(self):
         with pytest.raises(ValueError):
@@ -108,6 +110,36 @@ class TestSimulate:
         assert simulate(UrnState((1, 1)), IdentityUrn(), 0, seed=0) == []
         with pytest.raises(ValueError):
             simulate(UrnState((1, 1)), IdentityUrn(), -1, seed=0)
+
+
+def fraction_draw(weights, seed, sample, step):
+    # the draw before integer weights: probabilities w_j / W as reduced
+    # fractions, thresholds over the lcm of their denominators
+    total = sum(weights)
+    probs = [Fraction(w, total) for w in weights]
+    denom = math.lcm(*(p.denominator for p in probs))
+    r = _counter_uniform(seed, sample, step, denom)
+    acc = 0
+    for j, p in enumerate(probs):
+        acc += p.numerator * (denom // p.denominator)
+        if r < acc:
+            return j
+    raise AssertionError("probabilities do not sum to 1")
+
+
+@given(
+    st.lists(st.integers(0, 40), min_size=2, max_size=6).filter(any),
+    st.integers(1, 12),
+    st.integers(0, 2**32),
+    st.integers(0, 10**6),
+    st.integers(0, 100),
+)
+def test_integer_draw_matches_fraction_thresholds(weights, scale, seed, sample, step):
+    # zeros and a common factor in the weights must not move any draw
+    weights = [w * scale for w in weights]
+    expected = fraction_draw(weights, seed, sample, step)
+    assert _draw(weights, seed, sample, step) == expected
+    assert weights[expected] > 0
 
 
 class TestWithinFourSigma:
