@@ -3,131 +3,16 @@ law families with closed-form cylinder probabilities, Hoeffding
 decompositions of symmetric statistics, and the combinatorial criterion
 for Hoeffding decomposability, all over rational numbers so that the
 expected zeros are exact zeros.
+
+The package exports the four entry points of the README's Library
+section; everything else lives in the submodules (``exactnum``, ``laws``,
+``decomp``, ``characterization``, ``linalg``, ``urnsim``, ``cli``).
 """
 
-from .exactnum import (
-    Composition,
-    Rational,
-    beta_ratio,
-    binom_star,
-    class_size,
-    composition_count,
-    compositions,
-    format_rational,
-    multinomial,
-    multinomial_star,
-    parse_rational,
-    rising_factorial,
-)
-from .laws import (
-    HLS,
-    IID,
-    ExchangeableLaw,
-    MixtureIID,
-    Polya,
-    check_consistency,
-    class_prob,
-    conditional_block_prob,
-    cylinder_prob,
-    format_law,
-    parse_law,
-    predictive_prob,
-)
-from .decomp import (
-    SymmetricKernel,
-    SymmetricStatistic,
-    decompose,
-    degenerate_kernel_for,
-    inner_product,
-    is_completely_degenerate,
-    kernel_for,
-    sh_dims,
-    su_basis,
-    u_statistic,
-    weak_independence_oracle,
-)
-from .characterization import (
-    VerificationReport,
-    characterization_sum,
-    check_identity,
-    coherent_splits,
-    mu_shift,
-    sigma_hls,
-    sommedentro_sum,
-    star_vandermonde,
-    symmetrize_bisym,
-    verify_hd,
-    xi_basis,
-    xi_basis_kernel,
-    xi_dimension,
-)
-from .urnsim import (
-    ConstantUrn,
-    HLSUrn,
-    IdentityUrn,
-    UrnState,
-    empirical_cylinder,
-    simulate,
-    within_four_sigma,
-)
+from .characterization import verify_hd
+from .decomp import decompose, u_statistic
+from .laws import parse_law
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Composition",
-    "Rational",
-    "beta_ratio",
-    "binom_star",
-    "class_size",
-    "composition_count",
-    "compositions",
-    "format_rational",
-    "multinomial",
-    "multinomial_star",
-    "parse_rational",
-    "rising_factorial",
-    "HLS",
-    "IID",
-    "ExchangeableLaw",
-    "MixtureIID",
-    "Polya",
-    "check_consistency",
-    "class_prob",
-    "conditional_block_prob",
-    "cylinder_prob",
-    "format_law",
-    "parse_law",
-    "predictive_prob",
-    "SymmetricKernel",
-    "SymmetricStatistic",
-    "decompose",
-    "degenerate_kernel_for",
-    "inner_product",
-    "is_completely_degenerate",
-    "kernel_for",
-    "sh_dims",
-    "su_basis",
-    "u_statistic",
-    "weak_independence_oracle",
-    "VerificationReport",
-    "characterization_sum",
-    "check_identity",
-    "coherent_splits",
-    "mu_shift",
-    "sigma_hls",
-    "sommedentro_sum",
-    "star_vandermonde",
-    "symmetrize_bisym",
-    "verify_hd",
-    "xi_basis",
-    "xi_basis_kernel",
-    "xi_dimension",
-    "ConstantUrn",
-    "HLSUrn",
-    "IdentityUrn",
-    "UrnState",
-    "empirical_cylinder",
-    "simulate",
-    "within_four_sigma",
-    "__version__",
-]
+__all__ = ["decompose", "parse_law", "u_statistic", "verify_hd", "__version__"]

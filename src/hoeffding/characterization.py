@@ -4,10 +4,11 @@ The centerpiece is characterization_sum, an alternating double sum over
 coherent splits of a conditioning class and over fresh-draw allocations,
 whose vanishing at every index tuple is equivalent to weak independence
 of the law.  verify_hd sweeps it exhaustively up to a depth, evaluating
-all kernel indices m of one (n, u, z) at once.  The module also carries the supporting cast: the shift operators on count vectors,
-a closed-form basis of the conditioned-to-zero kernel space, coherent
-split enumeration, canonical symmetrization, and the Beta-function and
-star-binomial identities that make the HLS case collapse to zero.
+all kernel indices m of one (n, u, z) at once.  The module also carries
+the supporting cast: a closed-form basis of the conditioned-to-zero
+kernel space, coherent split enumeration, canonical symmetrization, and
+the Beta-function and star-binomial identities that make the HLS case
+collapse to zero.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .exactnum import (
 from .laws import ExchangeableLaw, conditional_block_prob, cylinder_prob, format_law
 
 __all__ = [
-    "mu_shift",
     "xi_dimension",
     "xi_index_set",
     "xi_basis_kernel",
@@ -56,25 +56,6 @@ __all__ = [
 ]
 
 _K2_HINT = "the closed-form criterion needs K >= 3; use the brute-force oracle for K = 2"
-
-
-def mu_shift(l: int, p: int, v: Sequence[int]) -> Composition:
-    """Move one unit from slot l to slot p of a count vector (1-based).
-
-    The vector lists the first K-1 coordinates of a count of fixed order;
-    the K-th coordinate is implicit, so p = len(v)+1 drops the addition
-    and only the decrement at l is recorded.
-    """
-    top = len(v) + 1
-    if not 1 <= l < p <= top:
-        raise ValueError(f"need 1 <= l < p <= {top}, got l={l}, p={p}")
-    out = list(v)
-    if out[l - 1] < 1:
-        raise ValueError(f"coordinate {l} of {tuple(v)} has no unit to move")
-    out[l - 1] -= 1
-    if p <= len(v):
-        out[p - 1] += 1
-    return Composition(out)
 
 
 def xi_dimension(n: int, colors: int) -> int:
@@ -615,6 +596,15 @@ def _check_quandebello(n_max: int, k_max: int) -> IdentityResult:
     return IdentityResult("quandebello", True, checked, None)
 
 
+# identity name -> (grid checker, the bounds it reads with their defaults)
+_IDENTITIES = {
+    "sommedentro": (_check_sommedentro, {"pi": None, "nu": None, "n_max": 6}),
+    "star-vandermonde": (_check_star_vandermonde, {"u_max": 6, "k_max": 6}),
+    "pascal-star": (_check_pascal_star, {"a_max": 12}),
+    "quandebello": (_check_quandebello, {"n_max": 8, "k_max": 5}),
+}
+
+
 def check_identity(
     name: str,
     pi: Optional[RationalLike] = None,
@@ -625,17 +615,15 @@ def check_identity(
     a_max: Optional[int] = None,
 ) -> IdentityResult:
     """Run the exhaustive grid for a named identity; unset bounds get the
-    documented defaults."""
-    if name == "sommedentro":
-        return _check_sommedentro(pi, nu, n_max if n_max is not None else 6)
-    if name == "star-vandermonde":
-        return _check_star_vandermonde(
-            u_max if u_max is not None else 6, k_max if k_max is not None else 6
-        )
-    if name == "pascal-star":
-        return _check_pascal_star(a_max if a_max is not None else 12)
-    if name == "quandebello":
-        return _check_quandebello(
-            n_max if n_max is not None else 8, k_max if k_max is not None else 5
-        )
-    raise ValueError(f"unknown identity {name!r}")
+    documented defaults, and a bound the identity does not read is an error."""
+    if name not in _IDENTITIES:
+        raise ValueError(f"unknown identity {name!r}")
+    checker, defaults = _IDENTITIES[name]
+    given = {"pi": pi, "nu": nu, "n_max": n_max, "u_max": u_max, "k_max": k_max, "a_max": a_max}
+    for key, value in given.items():
+        if value is not None and key not in defaults:
+            raise ValueError(f"identity {name} does not take --{key.replace('_', '-')}")
+    return checker(**{
+        key: default if given[key] is None else given[key]
+        for key, default in defaults.items()
+    })

@@ -237,7 +237,19 @@ def _parse_rational_vector(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(x.strip()) for x in text.split(",") if x.strip())
 
 
+# the family flags each urn reads (all take --initial); the others are
+# input errors, not ignored
+_URN_FLAGS = {
+    "polya": (),
+    "constant": ("p",),
+    "hls": ("alpha", "pi", "nu", "nu_split"),
+}
+
+
 def _build_urn(args: argparse.Namespace) -> tuple[urnsim.UrnState, urnsim.UrnFunction]:
+    for flag in ("p", "pi", "nu", "alpha", "nu_split"):
+        if getattr(args, flag) is not None and flag not in _URN_FLAGS[args.urn]:
+            raise ValueError(f"--urn {args.urn} does not take --{flag.replace('_', '-')}")
     if args.urn == "polya":
         if not args.initial:
             raise ValueError("--urn polya needs --initial counts")
@@ -251,37 +263,35 @@ def _build_urn(args: argparse.Namespace) -> tuple[urnsim.UrnState, urnsim.UrnFun
         else:
             state = urnsim.UrnState((1,) * len(p))
         return state, urnsim.ConstantUrn(p)
-    if args.urn == "hls":
-        if not args.alpha:
-            raise ValueError("--urn hls needs --alpha ratios")
-        alpha = _parse_rational_vector(args.alpha)
-        fn = urnsim.HLSUrn(alpha)
-        colors = len(alpha) + 2
-        if args.initial:
-            if args.pi is not None or args.nu is not None or args.nu_split:
-                raise ValueError("--initial excludes --pi, --nu and --nu-split")
-            state = urnsim.UrnState(_parse_int_vector(args.initial))
+    if not args.alpha:
+        raise ValueError("--urn hls needs --alpha ratios")
+    alpha = _parse_rational_vector(args.alpha)
+    fn = urnsim.HLSUrn(alpha)
+    colors = len(alpha) + 2
+    if args.initial:
+        if args.pi is not None or args.nu is not None or args.nu_split:
+            raise ValueError("--initial excludes --pi, --nu and --nu-split")
+        state = urnsim.UrnState(_parse_int_vector(args.initial))
+    else:
+        if args.pi is None or args.nu is None:
+            raise ValueError("--urn hls needs --pi and --nu (or --initial)")
+        pi, nu = int(args.pi), int(args.nu)
+        if pi < 1 or nu < 1:
+            raise ValueError("urn construction needs integer pi, nu >= 1")
+        if args.nu_split:
+            split = _parse_int_vector(args.nu_split)
+            if len(split) != colors - 1 or sum(split) != nu:
+                raise ValueError(
+                    f"--nu-split needs {colors - 1} counts summing to {nu}"
+                )
         else:
-            if args.pi is None or args.nu is None:
-                raise ValueError("--urn hls needs --pi and --nu (or --initial)")
-            pi, nu = int(args.pi), int(args.nu)
-            if pi < 1 or nu < 1:
-                raise ValueError("urn construction needs integer pi, nu >= 1")
-            if args.nu_split:
-                split = _parse_int_vector(args.nu_split)
-                if len(split) != colors - 1 or sum(split) != nu:
-                    raise ValueError(
-                        f"--nu-split needs {colors - 1} counts summing to {nu}"
-                    )
-            else:
-                split = (nu,) + (0,) * (colors - 2)
-            state = urnsim.UrnState((pi, *split))
-        if len(state.counts) != colors:
-            raise ValueError(
-                f"--initial has {len(state.counts)} colors, alpha implies {colors}"
-            )
-        return state, fn
-    raise ValueError(f"unknown urn family {args.urn!r}")
+            split = (nu,) + (0,) * (colors - 2)
+        state = urnsim.UrnState((pi, *split))
+    if len(state.counts) != colors:
+        raise ValueError(
+            f"--initial has {len(state.counts)} colors, alpha implies {colors}"
+        )
+    return state, fn
 
 
 def _compare_law(args: argparse.Namespace, state: urnsim.UrnState) -> laws.ExchangeableLaw:

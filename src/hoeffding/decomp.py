@@ -12,7 +12,6 @@ sequences.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,14 +28,13 @@ from .exactnum import (
     format_rational,
     parse_rational,
 )
-from .laws import ExchangeableLaw, cylinder_prob, predictive_prob
+from .laws import ExchangeableLaw, _read_json_file, cylinder_prob, predictive_prob
 
 __all__ = [
     "SymmetricKernel",
     "SymmetricStatistic",
     "u_statistic",
     "inner_product",
-    "su_basis",
     "decompose",
     "kernel_for",
     "DegeneracyCheck",
@@ -49,7 +47,6 @@ __all__ = [
     "weak_independence_oracle",
     "sh_dims",
     "table_to_jsonable",
-    "kernel_from_jsonable",
     "statistic_from_jsonable",
     "load_statistic_file",
 ]
@@ -220,19 +217,6 @@ def inner_product(
         if a and b:
             acc += w * a * b
     return acc
-
-
-def su_basis(law: ExchangeableLaw, n: int, k: int) -> list[SymmetricStatistic]:
-    """U-statistics of the indicator kernels of order k: a spanning set of SU_k."""
-    if not 0 <= k <= n:
-        raise ValueError(f"su_basis needs 0 <= k <= n, got k={k}, n={n}")
-    matrix = _ustat_matrix(n, k, law.K)
-    comps_n = composition_list(n, law.K)
-    out = []
-    for col in range(len(composition_list(k, law.K))):
-        values = {i: matrix[ri][col] for ri, i in enumerate(comps_n)}
-        out.append(SymmetricStatistic(n, law.K, values))
-    return out
 
 
 def _su_gram(
@@ -537,7 +521,7 @@ def table_to_jsonable(table: _CompositionTable) -> dict:
     }
 
 
-def _table_from_jsonable(obj: dict, cls):
+def statistic_from_jsonable(obj: dict) -> SymmetricStatistic:
     if not isinstance(obj, dict):
         raise ValueError("kernel/statistic JSON must be an object")
     order, colors, raw = obj.get("order"), obj.get("K"), obj.get("values")
@@ -555,23 +539,8 @@ def _table_from_jsonable(obj: dict, cls):
             values[comp] = parse_rational(value)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed value entry {item!r}: {exc}") from exc
-    return cls(order, colors, values)
-
-
-def kernel_from_jsonable(obj: dict) -> SymmetricKernel:
-    return _table_from_jsonable(obj, SymmetricKernel)
-
-
-def statistic_from_jsonable(obj: dict) -> SymmetricStatistic:
-    return _table_from_jsonable(obj, SymmetricStatistic)
+    return SymmetricStatistic(order, colors, values)
 
 
 def load_statistic_file(path: str) -> SymmetricStatistic:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read statistic file {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"statistic file {path} is not valid JSON: {exc}") from exc
-    return statistic_from_jsonable(obj)
+    return statistic_from_jsonable(_read_json_file(path, "statistic"))

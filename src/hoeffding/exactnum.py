@@ -25,7 +25,6 @@ __all__ = [
     "rising_factorial",
     "beta_ratio",
     "compositions",
-    "composition_count",
     "class_size",
     "parse_rational",
     "format_rational",
@@ -74,12 +73,6 @@ class Composition(tuple):
         if len(other) != len(self):
             raise ValueError("cannot merge compositions with different color counts")
         return Composition(a + b for a, b in zip(self, other))
-
-    def contains(self, other: Sequence[int]) -> bool:
-        """True when every count of ``other`` fits inside this one."""
-        if len(other) != len(self):
-            raise ValueError("cannot compare compositions with different color counts")
-        return all(a >= b for a, b in zip(self, other))
 
 
 def binom_star(a: int, b: int) -> int:
@@ -179,15 +172,6 @@ def compositions(total: int, parts: int) -> Iterator[Composition]:
     if total < 0 or parts < 0:
         raise ValueError("compositions needs total >= 0 and parts >= 0")
     return (Composition(t) for t in _composition_tuples(total, parts))
-
-
-def composition_count(total: int, parts: int) -> int:
-    """|N(total, parts)| = C(total + parts - 1, parts - 1)."""
-    if total < 0 or parts < 0:
-        raise ValueError("composition_count needs total >= 0 and parts >= 0")
-    if parts == 0:
-        return 1 if total == 0 else 0
-    return math.comb(total + parts - 1, parts - 1)
 
 
 def class_size(i: Sequence[int]) -> int:

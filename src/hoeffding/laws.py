@@ -480,12 +480,17 @@ def law_from_jsonable(obj: dict) -> ExchangeableLaw:
     return cls(**args)
 
 
-def load_law_file(path: str) -> ExchangeableLaw:
+def _read_json_file(path: str, noun: str):
+    """The JSON value in ``path``; an unreadable or malformed file raises a
+    ValueError that names the ``noun`` file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ValueError(f"cannot read law file {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot read {noun} file {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ValueError(f"law file {path} is not valid JSON: {exc}") from exc
-    return law_from_jsonable(obj)
+        raise ValueError(f"{noun} file {path} is not valid JSON: {exc}") from exc
+
+
+def load_law_file(path: str) -> ExchangeableLaw:
+    return law_from_jsonable(_read_json_file(path, "law"))

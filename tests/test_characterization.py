@@ -1,5 +1,5 @@
-"""Criterion machinery: shift operators, closed-form kernels, coherent
-splits, symmetrization, the criterion sweep, and the Beta identities.
+"""Criterion machinery: closed-form kernels, coherent splits,
+symmetrization, the criterion sweep, and the Beta identities.
 
 Brute-force companions live next to each test: permutation averages for
 the symmetrization, product() filters for the coherent splits, and the
@@ -20,7 +20,6 @@ from hoeffding.characterization import (
     characterization_sum,
     check_identity,
     coherent_splits,
-    mu_shift,
     sigma_hls,
     sommedentro_sum,
     star_vandermonde,
@@ -32,7 +31,7 @@ from hoeffding.characterization import (
     xi_index_set,
 )
 from hoeffding.decomp import composition_list, xi_constraint_matrix, xi_nullspace_basis
-from hoeffding.exactnum import Composition, beta_ratio, composition_count, compositions
+from hoeffding.exactnum import Composition, beta_ratio, compositions
 from hoeffding.laws import cylinder_prob, parse_law
 
 IID_REF = parse_law("iid:p=1/2,1/3,1/6")
@@ -51,31 +50,6 @@ def counts_of(seq, colors):
     for s in seq:
         tally[s] += 1
     return Composition(tally)
-
-
-def full_vector(head, n):
-    return Composition((*head, n - sum(head)))
-
-
-class TestMuShift:
-    def test_single_moves(self):
-        assert tuple(mu_shift(2, 4, (2, 7, 5, 9, 4))) == (2, 6, 5, 10, 4)
-        # p = K drops the addition, only the decrement is recorded
-        assert tuple(mu_shift(1, 6, (2, 7, 5, 9, 4))) == (1, 7, 5, 9, 4)
-
-    def test_composition_of_shifts(self):
-        v = Composition((4, 7, 5, 4, 9))
-        for p in (4, 2, 3, 2):
-            v = mu_shift(1, p, v)
-        assert tuple(v) == (0, 9, 6, 5, 9)
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            mu_shift(1, 2, (0, 3))
-        with pytest.raises(ValueError):
-            mu_shift(2, 2, (1, 3))
-        with pytest.raises(ValueError):
-            mu_shift(1, 5, (1, 3, 2))
 
 
 class TestXiDimension:
@@ -152,11 +126,13 @@ class TestXiBasis:
             for i in composition_list(n, colors):
                 if i[0] == 0:
                     continue
-                head = i[: colors - 1]
                 lhs = cylinder_prob(law, i) * phi(i)
                 rhs = Fraction(0)
-                for p in range(2, colors + 1):
-                    j = full_vector(mu_shift(1, p, head), n)
+                for p in range(1, colors):
+                    moved = list(i)
+                    moved[0] -= 1
+                    moved[p] += 1
+                    j = Composition(moved)
                     rhs -= cylinder_prob(law, j) * phi(j)
                 assert lhs == rhs
 

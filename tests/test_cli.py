@@ -230,6 +230,18 @@ class TestIdentity:
         code, _, err = run_cli(["identity", "legendre"])
         assert code == 2 and err != ""
 
+    @pytest.mark.parametrize("name, flag", [
+        ("sommedentro", "--k-max"),
+        ("star-vandermonde", "--n-max"),
+        ("pascal-star", "--pi"),
+        ("quandebello", "--a-max"),
+    ])
+    def test_unread_bound_is_an_input_error(self, name, flag):
+        code, out, err = run_cli(["identity", name, flag, "2"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert flag in err
+
 
 class TestSimulate:
     def test_stream_mode(self):
@@ -290,7 +302,21 @@ class TestSimulate:
         "--urn hls --alpha 1/2 --initial 1,1,1 --nu-split 1,1 --steps 3",
         "--urn polya --initial 1,1 --steps 3 --compare-exact",
         "--urn polya --initial 1,1 --steps 3 --n 2",
-    ], ids=["initial-pi-nu", "initial-nu-split", "steps-compare-exact", "steps-n"])
+        # each family reads only its own flags
+        "--urn polya --initial 1,1 --p 1/2,1/2 --steps 3",
+        "--urn polya --initial 1,1 --pi 7 --steps 3",
+        "--urn polya --initial 1,1 --nu 7 --steps 3",
+        "--urn polya --initial 1,1 --alpha 1/2 --steps 3",
+        "--urn polya --initial 1,1 --nu-split 1,1 --steps 3",
+        "--urn constant --p 1/2,1/2 --pi 7 --steps 3",
+        "--urn constant --p 1/2,1/2 --nu 7 --steps 3",
+        "--urn constant --p 1/2,1/2 --alpha 1/2 --steps 3",
+        "--urn constant --p 1/2,1/2 --nu-split 1,1 --steps 3",
+        "--urn hls --pi 1 --nu 2 --alpha 1/2 --p 1/3,1/3,1/3 --steps 3",
+    ], ids=["initial-pi-nu", "initial-nu-split", "steps-compare-exact", "steps-n",
+            "polya-p", "polya-pi", "polya-nu", "polya-alpha", "polya-nu-split",
+            "constant-pi", "constant-nu", "constant-alpha", "constant-nu-split",
+            "hls-p"])
     def test_ignored_flags_are_input_errors(self, argv):
         code, out, err = run_cli(["simulate", *argv.split()])
         assert code == 2 and out == ""

@@ -20,7 +20,6 @@ from hoeffding.exactnum import (
     beta_ratio,
     binom_star,
     class_size,
-    composition_count,
     compositions,
     format_rational,
     multinomial,
@@ -197,14 +196,14 @@ class TestCompositions:
                 expect = [t for t in product(range(n + 1), repeat=k) if sum(t) == n]
                 assert sorted(got) == sorted(expect)
                 assert got == sorted(got, reverse=True)  # descending lex
-                assert len(got) == composition_count(n, k) == math.comb(n + k - 1, k - 1)
+                assert len(got) == math.comb(n + k - 1, k - 1)
 
     def test_restricted_count_identity(self):
         # fixing i_1 >= 1 leaves as many compositions as one order lower
         for k in range(1, 6):
             for n in range(1, 9):
                 restricted = sum(1 for i in compositions(n, k) if i[0] >= 1)
-                assert restricted == composition_count(n - 1, k)
+                assert restricted == math.comb(n + k - 2, k - 1)
 
     def test_degenerate_and_errors(self):
         assert list(compositions(3, 0)) == []
@@ -236,7 +235,6 @@ class TestComposition:
         assert c.order == 3 and c.colors == 3
         assert tuple(c.increment(1)) == (2, 1, 1)
         assert tuple(c.merge((1, 1, 0))) == (3, 1, 1)
-        assert c.contains((1, 0, 1)) and not c.contains((0, 0, 2))
         with pytest.raises(ValueError):
             c.increment(3)
         with pytest.raises(ValueError):
