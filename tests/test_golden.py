@@ -5,7 +5,8 @@ law spec strings), so a refactor of the law families or of the report
 writers cannot change an output without failing here.  A JSON law file
 must give the same bytes as the inline spec it encodes.  The `decompose`
 digests pin the layers, the kernel of each layer and the degeneracy
-witnesses.  The `simulate` digests pin every drawn color of fixed urn
+witnesses.  The deeper `oracle` digests pin the basis sizes of laws that
+pass at every order, so a faster oracle cannot change a verdict.  The `simulate` digests pin every drawn color of fixed urn
 trajectories and Monte Carlo tables, so a change to the draw cannot move a
 single ball unnoticed.
 """
@@ -44,6 +45,13 @@ GOLDEN = {
     ("mixture", "law-check"): (0, "872449d036ca886be10ca52e24c1b0fe8146feb7dcd88603cd151ba5c9a0c0d0"),
     ("mixture", "verify"): (1, "8f1cf72e3b6170fd7ae98ee9ac1f1f4b786dc423bebc74e576e6a8fece240624"),
     ("mixture", "oracle"): (1, "bcff59b653d4a00326f6cc92f76041f4f65d089099822c22f629f0aa112d1ddd"),
+}
+
+# law -> (--n-max, sha256 of `oracle` stdout) for laws that pass; all exit 0
+ORACLE_GOLDEN = {
+    "hls3": (6, "12eace6c151b7aa92f206765bd4e32eeea9a7b27d869dabb6427334425ac3783"),
+    "hls4": (5, "040f4ffb6e40a7e0e6e44611a6b703335ba60b9ceba9666533bd948c02347837"),
+    "polya": (6, "840de1524109ba37c7dd13d86b4e0c47f7b2b555fef9d34273972af6a56b056b"),
 }
 
 # law -> sha256 of `decompose` stdout for golden_statistic(3, K); all exit 0
@@ -114,6 +122,13 @@ def test_hls_json_file_matches_inline_spec(tmp_path):
         {"family": "hls", "K": 3, "pi": "1/1", "nu": "2/1", "alpha": ["1/2"]}))
     argv = ["verify", "--law", str(path), "--n-max", "3"]
     assert run_digest(argv) == GOLDEN["hls3", "verify"]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GOLDEN))
+def test_oracle_digest(name):
+    n_max, digest = ORACLE_GOLDEN[name]
+    argv = ["oracle", "--law", LAWS[name], "--n-max", str(n_max)]
+    assert run_digest(argv) == (0, digest)
 
 
 @pytest.mark.parametrize("name", sorted(DECOMPOSE_GOLDEN))
