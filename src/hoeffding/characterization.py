@@ -20,13 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .decomp import SymmetricKernel, composition_list
 from .exactnum import (
     Composition,
     Rational,
     RationalLike,
+    _common_denominator,
     beta_ratio,
     binom_star,
     compositions,
@@ -35,7 +36,13 @@ from .exactnum import (
     multinomial_star,
     parse_rational,
 )
-from .laws import ExchangeableLaw, conditional_block_prob, cylinder_prob, format_law
+from .laws import (
+    ExchangeableLaw,
+    _CylinderTable,
+    conditional_block_prob,
+    cylinder_prob,
+    format_law,
+)
 
 __all__ = [
     "xi_dimension",
@@ -275,19 +282,6 @@ class VerificationReport:
         }
 
 
-class _CylinderTable(dict):
-    """P_n(i) of one law keyed by plain count tuple, each filled once from
-    law.cylinder on first lookup."""
-
-    def __init__(self, law: ExchangeableLaw) -> None:
-        super().__init__()
-        self.law = law
-
-    def __missing__(self, i: tuple[int, ...]) -> Rational:
-        p = self[i] = self.law.cylinder(Composition(i))
-        return p
-
-
 def _group_values(table: _CylinderTable, n: int, u: int, z: Composition) -> list[Rational]:
     """characterization_sum(law, n, u, z, m) for every m in
     xi_index_set(n, K), in that order, from one walk over the coherent
@@ -330,13 +324,6 @@ def _group_values(table: _CylinderTable, n: int, u: int, z: Composition) -> list
                 total += star * num
         values.append(Fraction(total, den))
     return values
-
-
-def _common_denominator(values: Iterable[Rational]) -> tuple[list[int], int]:
-    """Numerators of the values over their least common denominator."""
-    values = list(values)
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 # One cylinder table per pool worker; the pool serves a single law.

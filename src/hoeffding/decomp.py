@@ -17,18 +17,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import add
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import linalg
 from .exactnum import (
     Composition,
     Rational,
+    _common_denominator,
     class_size,
     compositions,
     format_rational,
     parse_rational,
 )
-from .laws import ExchangeableLaw, _read_json_file, cylinder_prob, predictive_prob
+from .laws import (
+    ExchangeableLaw,
+    _CylinderTable,
+    _read_json_file,
+    cylinder_prob,
+    predictive_prob,
+)
 
 __all__ = [
     "SymmetricKernel",
@@ -222,17 +230,20 @@ def inner_product(
 def _su_gram(
     matrix: Sequence[Sequence[int]], weights: Sequence[Fraction]
 ) -> list[list[Fraction]]:
+    # Symmetric: fill a <= b and mirror.  Each entry is an integer sum
+    # over the rows where both columns are nonzero, on the weights' common
+    # denominator.
+    nums, den = _common_denominator(weights)
     ncols = len(matrix[0])
-    gram = []
+    support = [
+        {r: mrow[a] for r, mrow in enumerate(matrix) if mrow[a]} for a in range(ncols)
+    ]
+    gram = [[Fraction(0)] * ncols for _ in range(ncols)]
     for a in range(ncols):
-        row = []
-        for b in range(ncols):
-            acc = Fraction(0)
-            for w, mrow in zip(weights, matrix):
-                if mrow[a] and mrow[b]:
-                    acc += w * mrow[a] * mrow[b]
-            row.append(acc)
-        gram.append(row)
+        col_a = {r: nums[r] * m for r, m in support[a].items()}
+        for b in range(a, ncols):
+            acc = sum(col_a[r] * m for r, m in support[b].items() if r in col_a)
+            gram[a][b] = gram[b][a] = Fraction(acc, den)
     return gram
 
 
@@ -426,26 +437,33 @@ def _block_split_census(
     }
 
 
-def _shift_expectation_table(
-    law: ExchangeableLaw, phi: SymmetricKernel, n: int, u: int
-) -> dict[tuple[Composition, Composition], Fraction]:
-    # f(a, b): conditional expectation of phi evaluated on u fresh draws
-    # pooled with a shared block of counts a, given that the conditioning
-    # coordinates have counts a + b in total (a shared with phi, b not).
-    colors = law.K
+def _oracle_rows(
+    table: _CylinderTable, n: int, u: int
+) -> list[tuple[Composition, tuple[tuple[int, int], ...], Fraction]]:
+    # One kernel-independent integer row per class z of order n-1, in
+    # order, over the columns composition_list(n, K): entry (a, b, mult)
+    # of the block-split census of z and fresh class (w, fmult) of u draws
+    # add mult * fmult * P(w+z) at the column of w+a, with the P(w+z) of
+    # one z as integer numerators over their common denominator D_z.  A
+    # row's dot product with a kernel phi is D_z * P(z) * total times the
+    # symmetrized shift expectation of phi over the class, total being the
+    # census size of z; that scale is kept with the row.
+    colors = table.law.K
+    col = {c: j for j, c in enumerate(composition_list(n, colors))}
     fresh = _count_census(colors, u)
-    out: dict[tuple[Composition, Composition], Fraction] = {}
-    for a in composition_list(n - u, colors):
-        for b in composition_list(u - 1, colors):
-            z = a.merge(b)
-            pz = cylinder_prob(law, z)
-            acc = Fraction(0)
-            for wc, mult in fresh:
-                v = phi(wc.merge(a))
-                if v:
-                    acc += mult * v * cylinder_prob(law, wc.merge(z))
-            out[(a, b)] = acc / pz
-    return out
+    census = _block_split_census(colors, n - 1, n - u)
+    rows = []
+    for z in composition_list(n - 1, colors):
+        nums, den = _common_denominator(table[tuple(map(add, w, z))] for w, _ in fresh)
+        coefs: dict[int, int] = {}
+        total = 0
+        for a, _b, mult in census[z]:
+            total += mult
+            for (w, fmult), num in zip(fresh, nums):
+                j = col[tuple(map(add, w, a))]
+                coefs[j] = coefs.get(j, 0) + mult * fmult * num
+        rows.append((z, tuple(coefs.items()), den * total * table[z]))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -469,26 +487,31 @@ def weak_independence_oracle(law: ExchangeableLaw, n: int) -> OracleResult:
 
     Builds a basis of the conditioned-to-zero kernels by exact null-space
     solve, then for every basis kernel and every shift u in [2, n] forms
-    the conditional expectation over u fresh coordinates by enumerating
-    raw sequences, symmetrizes it over each conditioning class (again by
-    enumeration, no closed-form weights), and reports the first class
-    where the symmetrized value fails to vanish.
+    the conditional expectation over u fresh coordinates, symmetrized over
+    each conditioning class z, and reports the first class where it fails
+    to vanish (kernel index, then u, then z).  The fresh draws and the
+    block splits of each class are still counted by enumerating raw
+    sequences, with no closed-form weight.  None of the coefficients
+    depends on the kernel, so each (n, u) builds one integer row per class
+    once, shared by every basis kernel, and a kernel costs one integer dot
+    product per row; the cylinder probabilities come from one table per
+    call.
     """
     if n < 2:
         raise ValueError("weak_independence_oracle needs n >= 2")
     basis = xi_nullspace_basis(law, n)
+    comps = composition_list(n, law.K)
+    table = _CylinderTable(law)
+    rows: dict[int, list] = {}
     for idx, phi in enumerate(basis):
+        vec, vden = _common_denominator(phi.as_vector(comps))
         for u in range(2, n + 1):
-            table = _shift_expectation_table(law, phi, n, u)
-            census = _block_split_census(law.K, n - 1, n - u)
-            for z in composition_list(n - 1, law.K):
-                num = Fraction(0)
-                total = 0
-                for a, b, mult in census[z]:
-                    num += mult * table[(a, b)]
-                    total += mult
-                if num != 0:
-                    witness = OracleWitness(idx, u, z, num / total, phi)
+            if u not in rows:
+                rows[u] = _oracle_rows(table, n, u)
+            for z, row, scale in rows[u]:
+                num = sum(coef * vec[j] for j, coef in row)
+                if num:
+                    witness = OracleWitness(idx, u, z, Fraction(num, vden) / scale, phi)
                     return OracleResult(False, len(basis), witness)
     return OracleResult(True, len(basis), None)
 

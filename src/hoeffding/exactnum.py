@@ -149,6 +149,13 @@ def beta_ratio(p: RationalLike, q: RationalLike, dp: int, dq: int) -> Rational:
     return num / rising_factorial(p + q, dp + dq)
 
 
+def _common_denominator(values: Iterable[Rational]) -> tuple[list[int], int]:
+    """Numerators of the values over their least common denominator."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def _composition_tuples(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     if parts == 0:
         if total == 0:

@@ -286,6 +286,20 @@ def _cylinder(law: ExchangeableLaw, i: Composition) -> Rational:
     return law.cylinder(i)
 
 
+class _CylinderTable(dict):
+    """P_n(i) of one law keyed by plain count tuple, each filled once from
+    law.cylinder on first lookup.  One table serves one run: unlike
+    _cylinder, it never hashes the law."""
+
+    def __init__(self, law: ExchangeableLaw) -> None:
+        super().__init__()
+        self.law = law
+
+    def __missing__(self, i: tuple[int, ...]) -> Rational:
+        p = self[i] = self.law.cylinder(Composition(i))
+        return p
+
+
 def _as_composition(law: ExchangeableLaw, i: Sequence[int]) -> Composition:
     comp = i if isinstance(i, Composition) else Composition(i)
     if comp.colors != law.K:

@@ -18,6 +18,7 @@ from hoeffding import linalg
 from hoeffding.decomp import (
     DegeneracyCheck,
     OracleResult,
+    OracleWitness,
     SymmetricKernel,
     SymmetricStatistic,
     composition_list,
@@ -34,10 +35,13 @@ from hoeffding.decomp import (
     weak_independence_oracle,
     xi_constraint_matrix,
     xi_nullspace_basis,
+    _block_split_census,
+    _count_census,
+    _oracle_rows,
     _ustat_matrix,
 )
 from hoeffding.exactnum import Composition, compositions
-from hoeffding.laws import cylinder_prob, parse_law, predictive_prob
+from hoeffding.laws import _CylinderTable, cylinder_prob, parse_law, predictive_prob
 
 IID_REF = parse_law("iid:p=1/2,1/3,1/6")
 POLYA_REF = parse_law("polya:alpha=1,2,3")
@@ -410,6 +414,69 @@ class TestWeakIndependenceOracle:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             weak_independence_oracle(IID_REF, 1)
+
+    @pytest.mark.parametrize("law,n", [
+        pytest.param(law, n, id=f"{name}-n{n}")
+        for name, law in zip(("iid", "polya", "hls3", "hls3b", "mixture", "hls4"), ALL_LAWS)
+        for n in ((2, 3, 4, 5) if law is HLS4 else (2, 3, 4))
+    ])
+    def test_shared_rows_match_the_per_kernel_tables(self, law, n):
+        assert weak_independence_oracle(law, n) == per_kernel_oracle(law, n)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_shared_rows_give_every_symmetrized_value(self, n):
+        # the mixture's first witness sits on a class of one sequence, so
+        # compare every value, also where the census has several splits
+        comps = composition_list(n, MIX.K)
+        table = _CylinderTable(MIX)
+        rows = {u: _oracle_rows(table, n, u) for u in range(2, n + 1)}
+        values = [
+            (idx, u, z, sum((coef * phi(comps[j]) for j, coef in row), Fraction(0)) / scale)
+            for idx, phi in enumerate(xi_nullspace_basis(MIX, n))
+            for u in range(2, n + 1)
+            for z, row, scale in rows[u]
+        ]
+        assert values == list(per_kernel_values(MIX, n))
+        assert any(v != 0 and max(z) < n - 1 for _, _, z, v in values)
+
+
+def shift_expectation_table(law, phi, n, u):
+    # f(a, b): E[phi(u fresh draws pooled with a) | conditioning counts
+    # a + b], one Fraction per (a, b), rebuilt for every kernel
+    fresh = _count_census(law.K, u)
+    out = {}
+    for a in compositions(n - u, law.K):
+        for b in compositions(u - 1, law.K):
+            z = a.merge(b)
+            acc = Fraction(0)
+            for wc, mult in fresh:
+                v = phi(wc.merge(a))
+                if v:
+                    acc += mult * v * cylinder_prob(law, wc.merge(z))
+            out[(a, b)] = acc / cylinder_prob(law, z)
+    return out
+
+
+def per_kernel_values(law, n):
+    """(kernel index, u, z, symmetrized value) in witness order, from one
+    table per basis kernel and u summed over the block-split census of z."""
+    for idx, phi in enumerate(xi_nullspace_basis(law, n)):
+        for u in range(2, n + 1):
+            table = shift_expectation_table(law, phi, n, u)
+            census = _block_split_census(law.K, n - 1, n - u)
+            for z in compositions(n - 1, law.K):
+                num = sum((mult * table[(a, b)] for a, b, mult in census[z]), Fraction(0))
+                total = sum(mult for _, _, mult in census[z])
+                yield idx, u, z, num / total
+
+
+def per_kernel_oracle(law, n):
+    basis = xi_nullspace_basis(law, n)
+    for idx, u, z, value in per_kernel_values(law, n):
+        if value != 0:
+            witness = OracleWitness(idx, u, z, value, basis[idx])
+            return OracleResult(False, len(basis), witness)
+    return OracleResult(True, len(basis), None)
 
 
 class TestShDims:
