@@ -5,7 +5,7 @@ law spec strings), so a refactor of the law families or of the report
 writers cannot change an output without failing here.  A JSON law file
 must give the same bytes as the inline spec it encodes.  The `decompose`
 digests pin the layers, the kernel of each layer and the degeneracy
-witnesses.  The deeper `oracle` digests pin the basis sizes of laws that
+witnesses, at order 3 and, for two K=4 laws, at order 6.  The deeper `oracle` digests pin the basis sizes of laws that
 pass at every order, so a faster oracle cannot change a verdict.  The `simulate` digests pin every drawn color of fixed urn
 trajectories and Monte Carlo tables, so a change to the draw cannot move a
 single ball unnoticed.
@@ -62,6 +62,17 @@ DECOMPOSE_GOLDEN = {
     "iid": "b177c1bc789ebb5a2601439d55b5a9203d1ccacf2499a783ff91a950acea2902",
     "mixture": "a57abe4d51d85cbcb3b9ff9b0530cfbf2e928e485439f80d00a62f066aede2a9",
     "polya": "03dedb33e62fd103023fb0104607b38cdbeafde9218e7f5d332190b683566ee4",
+}
+
+# K=4 law -> sha256 of `decompose` stdout for golden_statistic(6, 4), whose
+# kernels reach six tail layers; all exit 0
+DECOMPOSE6_LAWS = {
+    "hls4": LAWS["hls4"],
+    "polya4": "polya:alpha=1,2,3,4",
+}
+DECOMPOSE6_GOLDEN = {
+    "hls4": "e8d2dbd16209455236e4f55e9471024da392ec30a0515a5f5f2444df70268f75",
+    "polya4": "60fcb257e5240bc1d53cea8913da83d7efc48b1bab880f0a188995a9ff4e6e05",
 }
 
 # name -> (simulate arguments, (exit code, sha256 of stdout)); the --steps
@@ -138,6 +149,14 @@ def test_decompose_digest(name, tmp_path):
     path.write_text(json.dumps(golden_statistic(3, colors)))
     argv = ["decompose", "--law", LAWS[name], "--statistic", str(path)]
     assert run_digest(argv) == (0, DECOMPOSE_GOLDEN[name])
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSE6_GOLDEN))
+def test_order6_decompose_digest(name, tmp_path):
+    path = tmp_path / "statistic.json"
+    path.write_text(json.dumps(golden_statistic(6, 4)))
+    argv = ["decompose", "--law", DECOMPOSE6_LAWS[name], "--statistic", str(path)]
+    assert run_digest(argv) == (0, DECOMPOSE6_GOLDEN[name])
 
 
 @pytest.mark.parametrize("name", sorted(SIMULATE_GOLDEN))
