@@ -167,9 +167,11 @@ class SymmetricStatistic(_CompositionTable):
 def _ustat_matrix(n: int, k: int, colors: int) -> tuple[tuple[int, ...], ...]:
     # rows: compositions of n; columns: compositions of k; entry = number of
     # k-subsets with counts c inside a sequence with counts i.  For k <= n
-    # the rows c + (n-k)e_1 form a triangular block with a nonzero diagonal,
-    # so the columns are independent: each U-statistic has one kernel, and
-    # for k = n the matrix is the identity.
+    # the rows c + (n-k)e_1 form a triangular block with diagonal
+    # C(c_1+n-k, c_1), so the columns are independent: each U-statistic has
+    # one kernel, and for k = n the matrix is the identity.  _solve_kernel
+    # finds it by forward substitution on that block, then an exact
+    # membership check against every row.
     subs = composition_list(k, colors)
     rows = []
     for i in composition_list(n, colors):
@@ -301,19 +303,34 @@ def decompose(
 def _solve_kernel(
     law: ExchangeableLaw, n: int, statistic: SymmetricStatistic, k: int, caller: str
 ) -> Optional[SymmetricKernel]:
-    # One exact solve of the U-statistic equations; _ustat_matrix has full
-    # column rank, so the kernel is unique.  None when the statistic is
-    # outside SU_k.  For k = n the matrix is the identity and the kernel is
-    # the statistic itself.
+    # The kernel of a statistic in SU_k, or None when it is outside.  For
+    # k = n the matrix is the identity and the kernel is the statistic
+    # itself.  For k < n the rows c + (n-k)e_1 fix the kernel by forward
+    # substitution: composition_list walks c in increasing tail degree, and
+    # that row reaches only columns whose tail is <= c's componentwise.
+    # One integer product with the whole matrix then decides membership.
     if statistic.order != n or statistic.colors != law.K:
         raise ValueError("statistic must match the stated order and alphabet")
     if not 0 <= k <= n:
         raise ValueError(f"{caller} needs 0 <= k <= n, got k={k}")
+    comps = composition_list(k, law.K)
     tvec = statistic.as_vector()
-    x = tvec if k == n else linalg.solve(_ustat_matrix(n, k, law.K), tvec)
-    if x is None:
-        return None
-    return SymmetricKernel(k, law.K, dict(zip(composition_list(k, law.K), x)))
+    if k == n:
+        return SymmetricKernel(k, law.K, dict(zip(comps, tvec)))
+    matrix = _ustat_matrix(n, k, law.K)
+    row_of = {c: r for r, c in enumerate(composition_list(n, law.K))}
+    x: list[Fraction] = []
+    for j, c in enumerate(comps):
+        r = row_of[(c[0] + n - k, *c[1:])]
+        row = matrix[r]
+        acc = tvec[r] - sum(row[m] * x[m] for m in range(j) if row[m])
+        x.append(acc / row[j])
+    nums, den = _common_denominator(x)
+    for row, tv in zip(matrix, tvec):
+        image = sum(w * v for w, v in zip(row, nums) if w)
+        if image * tv.denominator != tv.numerator * den:
+            return None
+    return SymmetricKernel(k, law.K, dict(zip(comps, x)))
 
 
 def kernel_for(
@@ -321,10 +338,12 @@ def kernel_for(
 ) -> SymmetricKernel:
     """The unique order-k kernel whose U-statistic equals the statistic.
 
-    The statistic must lie in SU_k (exact linear solve).  The U-statistic
-    map on order-k kernels is injective for every k <= n, so the kernel is
-    unique.  The law only fixes the alphabet here: membership in SU_k is a
-    statement about class functions, not probabilities.
+    The statistic must lie in SU_k.  The U-statistic map on order-k
+    kernels is injective for every k <= n, so the kernel is unique: for
+    k < n it comes from forward substitution on the triangular block of
+    the U-statistic equations, then an exact membership check against the
+    whole system.  The law only fixes the alphabet here: membership in SU_k
+    is a statement about class functions, not probabilities.
     """
     phi = _solve_kernel(law, n, statistic, k, "kernel_for")
     if phi is None:
@@ -482,7 +501,9 @@ class OracleResult:
     witness: Optional[OracleWitness]
 
 
-def weak_independence_oracle(law: ExchangeableLaw, n: int) -> OracleResult:
+def weak_independence_oracle(
+    law: ExchangeableLaw, n: int, *, table: Optional[_CylinderTable] = None
+) -> OracleResult:
     """Brute-force weak-independence check at order n.
 
     Builds a basis of the conditioned-to-zero kernels by exact null-space
@@ -494,14 +515,16 @@ def weak_independence_oracle(law: ExchangeableLaw, n: int) -> OracleResult:
     sequences, with no closed-form weight.  None of the coefficients
     depends on the kernel, so each (n, u) builds one integer row per class
     once, shared by every basis kernel, and a kernel costs one integer dot
-    product per row; the cylinder probabilities come from one table per
-    call.
+    product per row.  The cylinder probabilities come from `table`, a
+    table of this law that a caller checking several orders can share
+    between calls; by default each call fills a table of its own.
     """
     if n < 2:
         raise ValueError("weak_independence_oracle needs n >= 2")
+    if table is None:
+        table = _CylinderTable(law)
     basis = xi_nullspace_basis(law, n)
     comps = composition_list(n, law.K)
-    table = _CylinderTable(law)
     rows: dict[int, list] = {}
     for idx, phi in enumerate(basis):
         vec, vden = _common_denominator(phi.as_vector(comps))

@@ -11,6 +11,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -38,6 +39,7 @@ from hoeffding.decomp import (
     _block_split_census,
     _count_census,
     _oracle_rows,
+    _solve_kernel,
     _ustat_matrix,
 )
 from hoeffding.exactnum import Composition, compositions
@@ -249,6 +251,30 @@ class TestKernelFor:
                 x = linalg.solve(_ustat_matrix(n, k, 3), f.as_vector())
                 assert back.as_vector() == x
 
+    @pytest.mark.parametrize("colors", range(1, 6))
+    def test_forward_substitution_matches_bareiss(self, colors):
+        # the triangular solve and membership check against one Bareiss
+        # solve of every row; the law only fixes the alphabet, and no law
+        # family has K = 1
+        rng = random.Random(29 + colors)
+        alphabet = SimpleNamespace(K=colors)
+        inside = outside = 0
+        for n in range(6 if colors == 5 else 7):
+            for k in range(n):
+                matrix = _ustat_matrix(n, k, colors)
+                image = u_statistic(random_kernel(k, colors, rng), n)
+                for f in (image, random_statistic(n, colors, rng)):
+                    phi = _solve_kernel(alphabet, n, f, k, "test")
+                    x = linalg.solve(matrix, f.as_vector())
+                    if f is image or x is not None:
+                        assert phi.as_vector() == x
+                        inside += 1
+                    else:
+                        assert phi is None
+                        outside += 1
+        # at K = 1 every statistic is the constant on one class, in SU_0
+        assert inside and (outside or colors == 1)
+
     def test_constant_statistic_has_constant_kernel_image(self):
         f = SymmetricStatistic.constant(4, 3, math.comb(4, 2))
         phi = kernel_for(IID_REF, 4, f, 2)
@@ -422,6 +448,18 @@ class TestWeakIndependenceOracle:
     ])
     def test_shared_rows_match_the_per_kernel_tables(self, law, n):
         assert weak_independence_oracle(law, n) == per_kernel_oracle(law, n)
+
+    @pytest.mark.parametrize("law", [
+        pytest.param(law, id=name)
+        for name, law in zip(("iid", "polya", "hls3", "hls3b", "mixture", "hls4"), ALL_LAWS)
+    ])
+    def test_one_table_serves_every_order(self, law):
+        # the CLI passes one cylinder table to every n
+        table = _CylinderTable(law)
+        for n in range(2, 6):
+            shared = weak_independence_oracle(law, n, table=table)
+            assert shared == weak_independence_oracle(law, n)
+        assert table
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_shared_rows_give_every_symmetrized_value(self, n):
