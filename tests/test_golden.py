@@ -8,7 +8,9 @@ digests pin the layers, the kernel of each layer and the degeneracy
 witnesses, at order 3 and, for two K=4 laws, at order 6.  The deeper `oracle` digests pin the basis sizes of laws that
 pass at every order, so a faster oracle cannot change a verdict.  The `simulate` digests pin every drawn color of fixed urn
 trajectories and Monte Carlo tables, so a change to the draw cannot move a
-single ball unnoticed.
+single ball unnoticed.  The deeper `verify` digests reach orders where
+the criterion's kernel index m has two or three entries and where the
+degree of m is cut at n, so a regrouped sweep cannot change a value.
 """
 
 import contextlib
@@ -62,6 +64,19 @@ DECOMPOSE_GOLDEN = {
     "iid": "b177c1bc789ebb5a2601439d55b5a9203d1ccacf2499a783ff91a950acea2902",
     "mixture": "a57abe4d51d85cbcb3b9ff9b0530cfbf2e928e485439f80d00a62f066aede2a9",
     "polya": "03dedb33e62fd103023fb0104607b38cdbeafde9218e7f5d332190b683566ee4",
+}
+
+# name -> (law, --n-max, (exit code, sha256 of `verify` stdout)); K = 4 and
+# K = 5 give two- and three-entry kernel indices m
+VERIFY_DEEP_GOLDEN = {
+    "hls4": (LAWS["hls4"], 5, (0, "be8f38ad20c026937e27b5eb6166c7b9c4e4328c246cf3c09c14c323c93be54a")),
+    "mixture": (LAWS["mixture"], 7, (1, "1729bfbc4e45370a4f36e4ca1ed9778b14008346733120cf836a46e3922bb3ce")),
+    "hls5": (
+        "hls:K=5,pi=2,nu=3,alpha=1/5,1/4,1/3", 4,
+        (0, "e4001236fbe9b6885de1afbe15d042acf72936d00c1f53a21da8071505e2de5b")),
+    "mixture4": (
+        "mixture:w=1/3,2/3;p1=2/5,1/5,1/5,1/5;p2=1/5,1/5,1/5,2/5", 5,
+        (1, "319efdad63b87a989cd4dfe189d1c371f0722b59858378159e3726a8446fb53c")),
 }
 
 # K=4 law -> sha256 of `decompose` stdout for golden_statistic(6, 4), whose
@@ -133,6 +148,12 @@ def test_hls_json_file_matches_inline_spec(tmp_path):
         {"family": "hls", "K": 3, "pi": "1/1", "nu": "2/1", "alpha": ["1/2"]}))
     argv = ["verify", "--law", str(path), "--n-max", "3"]
     assert run_digest(argv) == GOLDEN["hls3", "verify"]
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_DEEP_GOLDEN))
+def test_deep_verify_digest(name):
+    law, n_max, expected = VERIFY_DEEP_GOLDEN[name]
+    assert run_digest(["verify", "--law", law, "--n-max", str(n_max)]) == expected
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GOLDEN))
