@@ -3,8 +3,11 @@
 The centerpiece is characterization_sum, an alternating double sum over
 coherent splits of a conditioning class and over fresh-draw allocations,
 whose vanishing at every index tuple is equivalent to weak independence
-of the law.  verify_hd sweeps it exhaustively up to a depth, evaluating
-all kernel indices m of one (n, u, z) at once.  The module also carries
+of the law.  verify_hd sweeps it exhaustively up to a depth.  The index
+m enters only through a star multinomial, whose generating function is a
+power of (1 + x_1 + ... + x_{K-2}), so the values for all kernel indices m
+of one (n, u, z) are the coefficients of one polynomial, evaluated by
+Horner's rule on integers.  The module also carries
 the supporting cast: a closed-form basis of the conditioned-to-zero
 kernel space, coherent split enumeration, canonical symmetrization, and
 the Beta-function and star-binomial identities that make the HLS case
@@ -27,7 +30,6 @@ from .exactnum import (
     Composition,
     Rational,
     RationalLike,
-    _common_denominator,
     beta_ratio,
     binom_star,
     compositions,
@@ -282,48 +284,84 @@ class VerificationReport:
         }
 
 
+@lru_cache(maxsize=None)
+def _monomials(
+    n: int, colors: int
+) -> tuple[dict[tuple[int, ...], int], tuple[tuple[int, ...], ...]]:
+    """Positions of the monomials x^m, m in xi_index_set(n, colors), and
+    for each one the positions of x^(m - e_t) over its nonzero entries t:
+    the monomials that a factor (1 + x_1 + ... + x_{K-2}) carries onto x^m.
+    The index set runs in increasing degree, so each of those positions is
+    lower than the position it feeds."""
+    index = xi_index_set(n, colors)
+    pos = {m: j for j, m in enumerate(index)}
+    below = tuple(
+        tuple(pos[(*m[:t], m[t] - 1, *m[t + 1:])] for t in range(len(m)) if m[t])
+        for m in index
+    )
+    return pos, below
+
+
 def _group_values(table: _CylinderTable, n: int, u: int, z: Composition) -> list[Rational]:
     """characterization_sum(law, n, u, z, m) for every m in
-    xi_index_set(n, K), in that order, from one walk over the coherent
-    splits k and fresh-draw allocations q.
+    xi_index_set(n, K), in that order, as the coefficients of one
+    polynomial in r = K-2 variables.
 
-    Only the star factor depends on m, and it reads only the pooled counts
-    k+q, as do the sign (-1)^(k+q)_1 and the denominator P(k+q).  So the
-    m-independent weights
+    One walk over the coherent splits k and fresh-draw allocations q sums
+    the m-independent weights
     multinomial(n-u, k) * multinomial(u, q) * multinomial(u-1, z_head - k)
-    * P(z+q) / P(k+q) are summed per k+q first, and each m then costs one
-    star factor per distinct k+q.  Both sums run over integer numerators
-    on a common denominator: the exact sum is regrouped, never rounded.
+    * P(z+q) per pooled key k+q.  The kernel index m enters only through
+    the star factor C*(a; m - mid), where a is the first count of k+q and
+    mid its r middle counts, and sum_d C*(a; d) x^d = (1 + x_1 + ... + x_r)^a.
+    So with P_a(x) the sum over the keys of first count a of
+    (-1)^a weight / P(k+q) * x^mid, the value at m is the coefficient of
+    x^m in sum_a P_a(x) (1 + x_1 + ... + x_r)^a.  Horner's rule evaluates
+    it from the largest a down to 0: each step multiplies by the factor
+    and adds P_a, dropping monomials of degree > n, which no m reaches.
+    k+q has order n, so every x^mid is kept.  Weights and coefficients are
+    integers over one denominator, the lcm of the cylinder values'
+    denominators times the lcm of the keys' P(k+q) numerators: the exact
+    sum is regrouped, never rounded, and each value is reduced at the end.
     """
     head = len(z) - 1
     allocations = [
         (*q, u - a) for a in range(u + 1) for q in compositions(a, head)
     ]
-    # P(z+q) over one common denominator, so the weights sum as integers
-    coefs, coef_den = _common_denominator(
-        multinomial(u, q[:head]) * table[tuple(map(add, z, q))] for q in allocations
-    )
+    # multinomial(u, q) * P(z+q) as integers over one denominator
+    probs = [table[tuple(map(add, z, q))] for q in allocations]
+    coef_den = math.lcm(*(p.denominator for p in probs))
+    coefs = [
+        multinomial(u, q[:head]) * p.numerator * (coef_den // p.denominator)
+        for q, p in zip(allocations, probs)
+    ]
     weights: dict[tuple[int, ...], int] = {}
     for k in coherent_splits(n - 1, n - u, z):
         ka_full = (*k, (n - u) - sum(k))
         outer = multinomial(n - u, k) * multinomial(u - 1, tuple(map(sub, z[:head], k)))
         for q, coef in zip(allocations, coefs):
             kq = tuple(map(add, ka_full, q))
-            term = outer * coef
-            weights[kq] = weights.get(kq, 0) + (-term if kq[0] % 2 else term)
-    keys = [kq for kq, w in weights.items() if w]
-    nums, den = _common_denominator(
-        Fraction(weights[kq], coef_den) / table[kq] for kq in keys
-    )
-    values = []
-    for m in xi_index_set(n, len(z)):
-        total = 0
-        for kq, num in zip(keys, nums):
-            star = multinomial_star(kq[0], tuple(map(sub, m, kq[1:head])))
-            if star:
-                total += star * num
-        values.append(Fraction(total, den))
-    return values
+            weights[kq] = weights.get(kq, 0) + outer * coef
+    keys = [(kq, w, table[kq]) for kq, w in weights.items() if w]
+    key_den = math.lcm(*(p.numerator for _, _, p in keys))
+    pos, below = _monomials(n, len(z))
+    # P_a as (position of x^mid, integer coefficient) pairs, one list per a
+    parts: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for kq, w, p in keys:
+        num = w * p.denominator * (key_den // p.numerator)
+        parts[kq[0]].append((pos[kq[1:head]], -num if kq[0] % 2 else num))
+    coef = [0] * len(below)
+    top = max((a for a in range(n + 1) if parts[a]), default=0)
+    for a in range(top, -1, -1):
+        if a < top:
+            # times (1 + x_1 + ... + x_r), highest position first, so each
+            # x^m still reads the lower coefficients of the previous step
+            for j in range(len(coef) - 1, 0, -1):
+                for t in below[j]:
+                    coef[j] += coef[t]
+        for j, num in parts[a]:
+            coef[j] += num
+    den = coef_den * key_den
+    return [Fraction(c, den) for c in coef]
 
 
 # One cylinder table per pool worker; the pool serves a single law.

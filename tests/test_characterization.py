@@ -31,7 +31,7 @@ from hoeffding.characterization import (
     xi_index_set,
 )
 from hoeffding.decomp import composition_list, xi_constraint_matrix, xi_nullspace_basis
-from hoeffding.exactnum import Composition, beta_ratio, compositions
+from hoeffding.exactnum import Composition, beta_ratio, compositions, multinomial_star
 from hoeffding.laws import cylinder_prob, parse_law
 
 IID_REF = parse_law("iid:p=1/2,1/3,1/6")
@@ -40,6 +40,8 @@ HLS3 = parse_law("hls:K=3,pi=1,nu=2,alpha=1/2")
 HLS3B = parse_law("hls:K=3,pi=3/2,nu=5/2,alpha=1/3")
 HLS4 = parse_law("hls:K=4,pi=1,nu=2,alpha=1/4,1/4")
 MIX = parse_law("mixture:w=1/2,1/2;p1=1/2,1/4,1/4;p2=1/4,1/4,1/2")
+MIX4 = parse_law("mixture:w=1/3,2/3;p1=2/5,1/5,1/5,1/5;p2=1/5,1/5,1/5,2/5")
+MIX5 = parse_law("mixture:w=1/2,1/2;p1=1/3,1/6,1/6,1/6,1/6;p2=1/6,1/6,1/6,1/6,1/3")
 
 UNIFORM3 = parse_law("iid:p=1/3,1/3,1/3")
 UNIFORM4 = parse_law("iid:p=1/4,1/4,1/4,1/4")
@@ -273,15 +275,21 @@ class TestVerifyHd:
         assert sequential == parallel
         assert sequential.to_jsonable() == parallel.to_jsonable()
 
+    # the mixtures give nonzero values with one, two and three middle colors
     @pytest.mark.parametrize("law, n_max", [
         (IID_REF, 5), (POLYA_REF, 5), (HLS3, 5), (HLS4, 4), (MIX, 5),
+        (MIX4, 4), (MIX5, 3),
     ])
     def test_every_entry_matches_the_per_tuple_sum(self, law, n_max):
         report = verify_hd(law, n_max)
         for e in report.entries:
             assert e.value == characterization_sum(law, e.n, e.u, e.z, e.m), e
+        nonzero = sum(1 for e in report.entries if e.value)
         if law is MIX:
-            assert sum(1 for e in report.entries if e.value) > 100
+            assert nonzero > 100
+        if law in (MIX4, MIX5):
+            assert nonzero > 200
+            assert any(e.value and sum(e.m) == e.n for e in report.entries)
 
     @pytest.mark.parametrize("jobs, cores, n_max, workers", [
         (10**6, 2, 3, 2),      # capped by the core count
@@ -401,6 +409,41 @@ class TestStarVandermonde:
             star_vandermonde(2, 3, 1, 1)
         with pytest.raises(ValueError):
             star_vandermonde(2, 1, -1, 1)
+
+
+def expand_star_power(a, r):
+    """(1 + x_1 + ... + x_r)^a by repeated multiplication, as a dict from
+    exponent tuples to coefficients."""
+    poly = {(0,) * r: 1}
+    for _ in range(a):
+        out = {}
+        for d, c in poly.items():
+            out[d] = out.get(d, 0) + c
+            for t in range(r):
+                e = (*d[:t], d[t] + 1, *d[t + 1:])
+                out[e] = out.get(e, 0) + c
+        poly = out
+    return poly
+
+
+class TestStarGeneratingFunction:
+    """sum_d C*(a; d) x^d = (1 + x_1 + ... + x_r)^a, the identity that
+    lets the sweep read every kernel index m off one polynomial."""
+
+    def test_coefficients_are_star_multinomials(self):
+        for r in range(4):
+            for a in range(9):
+                poly = expand_star_power(a, r)
+                for d in product(range(-1, a + 2), repeat=r):
+                    expected = multinomial_star(a, d)
+                    assert poly.get(d, 0) == expected, (a, d)
+                    if any(x < 0 for x in d) or sum(d) > a:
+                        assert expected == 0, (a, d)
+
+    def test_reference_expansion(self):
+        assert expand_star_power(2, 2) == {
+            (0, 0): 1, (1, 0): 2, (0, 1): 2, (2, 0): 1, (1, 1): 2, (0, 2): 1,
+        }
 
 
 class TestCheckIdentity:
