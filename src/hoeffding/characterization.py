@@ -21,7 +21,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import add, sub
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -364,41 +364,25 @@ def _group_values(table: _CylinderTable, n: int, u: int, z: Composition) -> list
     return [Fraction(c, den) for c in coef]
 
 
-# One cylinder table per pool worker; the pool serves a single law.
-_worker_table: Optional[_CylinderTable] = None
-
-
-def _start_worker(law: ExchangeableLaw) -> None:
-    global _worker_table
-    _worker_table = _CylinderTable(law)
-
-
-def _worker_group(group: tuple[int, int, Composition]) -> list[Rational]:
-    return _group_values(_worker_table, *group)
-
-
-def default_jobs() -> int:
-    env = os.environ.get("HOEFFDING_JOBS", "").strip()
-    if env:
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(f"HOEFFDING_JOBS must be an integer, got {env!r}") from None
-        if jobs < 1:
-            raise ValueError("HOEFFDING_JOBS must be >= 1")
-        return jobs
-    return os.cpu_count() or 1
+def _values_of(
+    law: ExchangeableLaw, groups: Sequence[tuple[int, int, Composition]]
+) -> list[list[Rational]]:
+    """The criterion values of each (n, u, z) group, on one cylinder table:
+    the whole sweep when serial, one worker's share when pooled."""
+    table = _CylinderTable(law)
+    return [_group_values(table, *group) for group in groups]
 
 
 def verify_hd(law: ExchangeableLaw, n_max: int, jobs: int = 1) -> VerificationReport:
     """Evaluate the criterion over every tuple with 2 <= n <= n_max.
 
     Work is split into (n, u, z) groups, each evaluating the criterion for
-    every kernel index m at once; groups run in parallel on
-    min(jobs, cpu count, group count) workers when that exceeds 1.
-    Entries are listed in the fixed lexicographic order (n, u, z, m), so
-    reports are byte-stable for a given (law, n_max) regardless of
-    scheduling.
+    every kernel index m at once.  With jobs > 1 the groups are dealt out
+    to min(jobs, cpu count, group count) worker processes, each filling
+    its own cylinder table; that pays off only on sweeps of about a second
+    or more, so the default is one job, in this process.  Entries are
+    listed in the fixed lexicographic order (n, u, z, m), so reports are
+    byte-stable for a given (law, n_max) regardless of scheduling.
     """
     if law.K < 3:
         raise ValueError(_K2_HINT)
@@ -414,14 +398,14 @@ def verify_hd(law: ExchangeableLaw, n_max: int, jobs: int = 1) -> VerificationRe
     ]
     workers = min(jobs, os.cpu_count() or 1, len(groups))
     if workers > 1:
-        chunk = max(1, len(groups) // (workers * 8))
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_start_worker, initargs=(law,)
-        ) as pool:
-            values = list(pool.map(_worker_group, groups, chunksize=chunk))
+        # one interleaved share per worker, so each gets groups of every size
+        values: list = [None] * len(groups)
+        shares = [groups[i::workers] for i in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for i, share in enumerate(pool.map(partial(_values_of, law), shares)):
+                values[i::workers] = share
     else:
-        table = _CylinderTable(law)
-        values = [_group_values(table, *group) for group in groups]
+        values = _values_of(law, groups)
     entries = tuple(
         VerificationEntry(n, u, z, tuple(m), v)
         for (n, u, z), group_values in zip(groups, values)
@@ -640,7 +624,8 @@ def check_identity(
     a_max: Optional[int] = None,
 ) -> IdentityResult:
     """Run the exhaustive grid for a named identity; unset bounds get the
-    documented defaults, and a bound the identity does not read is an error."""
+    documented defaults.  A bound the identity does not read, or bounds
+    that leave nothing to check, are errors: an empty grid is no verdict."""
     if name not in _IDENTITIES:
         raise ValueError(f"unknown identity {name!r}")
     checker, defaults = _IDENTITIES[name]
@@ -648,7 +633,16 @@ def check_identity(
     for key, value in given.items():
         if value is not None and key not in defaults:
             raise ValueError(f"identity {name} does not take --{key.replace('_', '-')}")
-    return checker(**{
+    bounds = {
         key: default if given[key] is None else given[key]
         for key, default in defaults.items()
-    })
+    }
+    result = checker(**bounds)
+    if result.checked == 0:
+        named = ", ".join(
+            f"--{key.replace('_', '-')} {value}"
+            for key, value in bounds.items()
+            if key.endswith("_max")
+        )
+        raise ValueError(f"identity {name} has nothing to check with {named}")
+    return result

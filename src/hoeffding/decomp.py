@@ -25,7 +25,6 @@ from .exactnum import (
     Composition,
     Rational,
     _common_denominator,
-    class_size,
     compositions,
     format_rational,
     parse_rational,
@@ -34,6 +33,7 @@ from .laws import (
     ExchangeableLaw,
     _CylinderTable,
     _read_json_file,
+    class_prob,
     cylinder_prob,
     predictive_prob,
 )
@@ -194,24 +194,21 @@ def u_statistic(phi: SymmetricKernel, n: int) -> SymmetricStatistic:
 
     The weight counts the k-subsets of a sequence with counts i whose own
     counts equal c, so F is the usual U-statistic (without normalization).
+    Each value is an integer sum over the kernel's common denominator.
     """
     if phi.order > n:
         raise ValueError(f"kernel order {phi.order} exceeds statistic order {n}")
+    nums, den = _common_denominator(phi.as_vector())
     matrix = _ustat_matrix(n, phi.order, phi.colors)
-    kernel_vec = phi.as_vector()
-    comps = composition_list(n, phi.colors)
-    values = {}
-    for i, row in zip(comps, matrix):
-        acc = Fraction(0)
-        for w, v in zip(row, kernel_vec):
-            if w and v:
-                acc += w * v
-        values[i] = acc
+    values = {
+        i: Fraction(sum(w * v for w, v in zip(row, nums) if w), den)
+        for i, row in zip(composition_list(n, phi.colors), matrix)
+    }
     return SymmetricStatistic(n, phi.colors, values)
 
 
 def _class_weights(law: ExchangeableLaw, n: int) -> list[Fraction]:
-    return [class_size(i) * cylinder_prob(law, i) for i in composition_list(n, law.K)]
+    return [class_prob(law, i) for i in composition_list(n, law.K)]
 
 
 def inner_product(
@@ -254,10 +251,11 @@ def _project_su(
     weights: Sequence[Fraction],
     tvec: Sequence[Fraction],
 ) -> list[Fraction]:
-    # Orthogonal projection onto the span of the columns of matrix (the
-    # indicator U-statistics of one order) via the normal equations.  The
-    # columns are independent and every class has positive probability, so
-    # the Gram matrix is positive definite and the solve is unique.
+    # Kernel coefficients of the orthogonal projection onto the span of the
+    # columns of matrix (the indicator U-statistics of one order), via the
+    # normal equations.  The columns are independent and every class has
+    # positive probability, so the Gram matrix is positive definite and the
+    # solve is unique.
     ncols = len(matrix[0])
     rhs = []
     for a in range(ncols):
@@ -268,10 +266,7 @@ def _project_su(
         rhs.append(acc)
     coef = linalg.solve(_su_gram(matrix, weights), rhs)
     assert coef is not None, "normal equations are always consistent"
-    return [
-        sum((c * mrow[a] for a, c in enumerate(coef) if c and mrow[a]), Fraction(0))
-        for mrow in matrix
-    ]
+    return coef
 
 
 def decompose(
@@ -293,7 +288,12 @@ def decompose(
     prev = [Fraction(0)] * len(comps)
     for k in range(n + 1):
         # SU_n is the whole space, so F_n = T - P_{n-1} T
-        proj = tvec if k == n else _project_su(_ustat_matrix(n, k, law.K), weights, tvec)
+        if k == n:
+            proj = tvec
+        else:
+            coef = _project_su(_ustat_matrix(n, k, law.K), weights, tvec)
+            phi = SymmetricKernel(k, law.K, dict(zip(composition_list(k, law.K), coef)))
+            proj = u_statistic(phi, n).as_vector(comps)
         values = {c: a - b for c, a, b in zip(comps, proj, prev)}
         parts.append(SymmetricStatistic(n, law.K, values))
         prev = proj
@@ -308,7 +308,7 @@ def _solve_kernel(
     # itself.  For k < n the rows c + (n-k)e_1 fix the kernel by forward
     # substitution: composition_list walks c in increasing tail degree, and
     # that row reaches only columns whose tail is <= c's componentwise.
-    # One integer product with the whole matrix then decides membership.
+    # The kernel's U-statistic then decides membership.
     if statistic.order != n or statistic.colors != law.K:
         raise ValueError("statistic must match the stated order and alphabet")
     if not 0 <= k <= n:
@@ -325,12 +325,8 @@ def _solve_kernel(
         row = matrix[r]
         acc = tvec[r] - sum(row[m] * x[m] for m in range(j) if row[m])
         x.append(acc / row[j])
-    nums, den = _common_denominator(x)
-    for row, tv in zip(matrix, tvec):
-        image = sum(w * v for w, v in zip(row, nums) if w)
-        if image * tv.denominator != tv.numerator * den:
-            return None
-    return SymmetricKernel(k, law.K, dict(zip(comps, x)))
+    phi = SymmetricKernel(k, law.K, dict(zip(comps, x)))
+    return phi if u_statistic(phi, n).as_vector() == tvec else None
 
 
 def kernel_for(

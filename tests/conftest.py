@@ -16,9 +16,8 @@ def recording_pool(monkeypatch):
     created = []
 
     class RecordingPool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             created.append(max_workers)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -26,9 +25,8 @@ def recording_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
+        def map(self, fn, items):
             return map(fn, items)
 
     monkeypatch.setattr(characterization, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(characterization, "_worker_table", None)
     return created

@@ -137,14 +137,26 @@ class TestVerify:
         assert not reader.is_alive()
         assert received == [stdout] and stat.S_ISFIFO(os.stat(pipe).st_mode)
 
-    def test_jobs_from_the_environment_are_capped(self, monkeypatch, recording_pool):
+    def test_jobs_are_capped_at_the_core_count(self, monkeypatch, recording_pool):
         monkeypatch.setattr(characterization.os, "cpu_count", lambda: 3)
-        monkeypatch.setenv("HOEFFDING_JOBS", "1000000")
         argv = ["verify", "--law", "polya:alpha=1,2,3", "--n-max", "3"]
-        capped = run_cli(argv)
+        capped = run_cli(argv + ["--jobs", "1000000"])
         assert recording_pool == [3]
         assert capped == run_cli(argv + ["--jobs", "1"])
         assert recording_pool == [3]
+
+    def test_one_job_and_no_pool_by_default(self, monkeypatch, recording_pool):
+        monkeypatch.setattr(characterization.os, "cpu_count", lambda: 3)
+        argv = ["verify", "--law", "polya:alpha=1,2,3", "--n-max", "3"]
+        assert run_cli(argv) == run_cli(argv + ["--jobs", "1"])
+        assert recording_pool == []
+
+    def test_jobs_below_one_are_an_input_error(self, recording_pool):
+        code, out, err = run_cli(
+            ["verify", "--law", "polya:alpha=1,2,3", "--n-max", "3", "--jobs", "0"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "jobs" in err and recording_pool == []
 
 
 class TestOracle:
@@ -241,6 +253,19 @@ class TestIdentity:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert flag in err
+
+
+    @pytest.mark.parametrize("name, flag, value", [
+        ("sommedentro", "--n-max", "1"),
+        ("star-vandermonde", "--u-max", "-1"),
+        ("pascal-star", "--a-max", "-3"),
+        ("quandebello", "--k-max", "0"),
+    ])
+    def test_empty_grid_is_an_input_error(self, name, flag, value):
+        code, out, err = run_cli(["identity", name, flag, value])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{flag} {value}" in err
 
 
 class TestSimulate:
