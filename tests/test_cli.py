@@ -10,6 +10,7 @@ import json
 import os
 import stat
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -266,6 +267,46 @@ class TestIdentity:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"{flag} {value}" in err
+
+    # For each identity, the function its grid evaluates (a module global
+    # of characterization), the one argument tuple at which a stand-in
+    # returns a wrong value, that value, and the report it must produce:
+    # the first failure, counted from 1 in the default grid's order.
+    FIRST_FAILURES = [
+        ("sommedentro", "sommedentro_sum",
+         (Fraction(3, 2), Fraction(1, 2), 4, 3, 2, 1), Fraction(-1, 7),
+         1070,
+         {"pi": "3/2", "nu": "1/2", "n": 4, "u": 3, "z": 2, "k": 1,
+          "value": "-1/7"}),
+        ("star-vandermonde", "star_vandermonde", (3, 1, 2, 4), (5, 6), 772,
+         {"u": 3, "q1": 1, "k1": 2, "j": 4, "sum": 5, "closed_form": 6}),
+        ("pascal-star", "binom_star", (4, 2), 7, 63,
+         {"a": 4, "b": 2, "lhs": 7, "rhs": 6}),
+        ("quandebello", "compositions", (3, 2), ((2, 1), (1, 2), (0, 3)), 11,
+         {"n": 3, "K": 2, "restricted": 2, "lower_order": 3}),
+    ]
+
+    @pytest.mark.parametrize(
+        "name, attr, case, wrong, checked, counterexample", FIRST_FAILURES)
+    def test_first_failure_is_reported(
+            self, monkeypatch, name, attr, case, wrong, checked, counterexample):
+        real = getattr(characterization, attr)
+        monkeypatch.setattr(
+            characterization, attr,
+            lambda *args: wrong if args == case else real(*args))
+        expected = {
+            "schema_version": 1,
+            "identity": name,
+            "holds": False,
+            "checked": checked,
+            "counterexample": counterexample,
+        }
+        obj = characterization.check_identity(name).to_jsonable()
+        assert obj == expected
+        assert list(obj["counterexample"]) == list(counterexample)
+        code, out, err = run_cli(["identity", name])
+        assert code == 1 and err == ""
+        assert out == json.dumps(expected, indent=2) + "\n"
 
 
 class TestSimulate:
