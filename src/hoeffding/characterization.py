@@ -22,10 +22,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import product
 from operator import add, sub
 from typing import Callable, Iterator, Optional, Sequence
 
-from .decomp import SymmetricKernel, composition_list
+from .decomp import SymmetricKernel
 from .exactnum import (
     Composition,
     Rational,
@@ -114,7 +115,7 @@ def xi_basis_kernel(law: ExchangeableLaw, n: int, m: Sequence[int]) -> Symmetric
     ref = Composition((0, *m, n - sum(m)))
     p_ref = cylinder_prob(law, ref)
     values: dict[Composition, Fraction] = {}
-    for i in composition_list(n, colors):
+    for i in compositions(n, colors):
         star = multinomial_star(i[0], tuple(m[t] - i[t + 1] for t in range(colors - 2)))
         if star == 0:
             values[i] = Fraction(0)
@@ -460,21 +461,14 @@ def sigma_hls(
     are computed exactly and must agree; the direct value is returned
     (expected 0 throughout the valid range).
     """
-    pi = parse_rational(pi)
-    nu = parse_rational(nu)
-    if pi <= 0 or nu <= 0:
-        raise ValueError("pi and nu must be positive")
-    if not 2 <= u <= n:
-        raise ValueError(f"need 2 <= u <= n, got u={u}, n={n}")
-    if not 0 <= z1 <= n - 1:
-        raise ValueError(f"need 0 <= z1 <= n-1, got z1={z1}")
-    if not max(0, z1 - (u - 1)) <= k1 <= min(z1, n - u):
-        raise ValueError(f"k1={k1} outside the coherent range for z1={z1}")
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}")
     if k2 < 0:
         raise ValueError(f"need k2 >= 0, got k2={k2}")
-
+    # sommedentro_sum validates (pi, nu, n, u, z1, k1)
+    factored = binom_star(k1 + u, m - k2) * sommedentro_sum(pi, nu, n, u, z1, k1)
+    pi = parse_rational(pi)
+    nu = parse_rational(nu)
     direct = Fraction(0)
     for q1 in range(u + 1):
         ratio = beta_ratio(pi + k1 + q1, nu + n - k1 - q1, z1 - k1, u - 1 - (z1 - k1))
@@ -486,8 +480,6 @@ def sigma_hls(
         if inner:
             term = inner * ratio
             direct += -term if q1 % 2 else term
-
-    factored = binom_star(k1 + u, m - k2) * sommedentro_sum(pi, nu, n, u, z1, k1)
     if direct != factored:
         raise ArithmeticError(
             f"direct {direct} and factored {factored} forms disagree at "
@@ -533,84 +525,55 @@ class IdentityResult:
 _GRID = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2))
 
 
-def _check_sommedentro(pi, nu, n_max: int) -> IdentityResult:
-    if pi is None and nu is None:
-        grid = [(a, b) for a in _GRID for b in _GRID]
-    else:
-        grid = [(parse_rational(pi if pi is not None else 1),
-                 parse_rational(nu if nu is not None else 1))]
-    checked = 0
-    for gp, gn in grid:
+def _sommedentro_cases(pi, nu, n_max: int) -> Iterator[tuple[bool, tuple]]:
+    # an unset pi or nu ranges over the rational grid
+    pis = _GRID if pi is None else [parse_rational(pi)]
+    nus = _GRID if nu is None else [parse_rational(nu)]
+    for gp, gn in product(pis, nus):
         for n in range(2, n_max + 1):
             for u in range(2, n + 1):
                 for z in range(n):
                     for k in range(max(0, z - (u - 1)), min(z, n - u) + 1):
                         value = sommedentro_sum(gp, gn, n, u, z, k)
-                        checked += 1
-                        if value != 0:
-                            return IdentityResult(
-                                "sommedentro", False, checked,
-                                {"pi": format_rational(gp), "nu": format_rational(gn),
-                                 "n": n, "u": u, "z": z, "k": k,
-                                 "value": format_rational(value)},
-                            )
-    return IdentityResult("sommedentro", True, checked, None)
+                        yield value == 0, (gp, gn, n, u, z, k, value)
 
 
-def _check_star_vandermonde(u_max: int, k_max: int) -> IdentityResult:
-    checked = 0
+def _star_vandermonde_cases(u_max: int, k_max: int) -> Iterator[tuple[bool, tuple]]:
     for u in range(u_max + 1):
         for q1 in range(u + 1):
             for k1 in range(k_max + 1):
                 for j in range(-2, 13):
                     summed, closed = star_vandermonde(u, q1, k1, j)
-                    checked += 1
-                    if summed != closed:
-                        return IdentityResult(
-                            "star-vandermonde", False, checked,
-                            {"u": u, "q1": q1, "k1": k1, "j": j,
-                             "sum": summed, "closed_form": closed},
-                        )
-    return IdentityResult("star-vandermonde", True, checked, None)
+                    yield summed == closed, (u, q1, k1, j, summed, closed)
 
 
-def _check_pascal_star(a_max: int) -> IdentityResult:
-    checked = 0
+def _pascal_star_cases(a_max: int) -> Iterator[tuple[bool, tuple]]:
     for a in range(1, a_max + 1):
         for b in range(-3, 16):
             lhs = binom_star(a, b)
             rhs = binom_star(a - 1, b) + binom_star(a - 1, b - 1)
-            checked += 1
-            if lhs != rhs:
-                return IdentityResult(
-                    "pascal-star", False, checked,
-                    {"a": a, "b": b, "lhs": lhs, "rhs": rhs},
-                )
-    return IdentityResult("pascal-star", True, checked, None)
+            yield lhs == rhs, (a, b, lhs, rhs)
 
 
-def _check_quandebello(n_max: int, k_max: int) -> IdentityResult:
+def _quandebello_cases(n_max: int, k_max: int) -> Iterator[tuple[bool, tuple]]:
     # |{i in N(n,K): i_1 >= 1}| must equal |N(n-1,K)|; both by enumeration
-    checked = 0
     for colors in range(1, k_max + 1):
         for n in range(1, n_max + 1):
             lhs = sum(1 for i in compositions(n, colors) if i[0] >= 1)
-            rhs = sum(1 for _ in compositions(n - 1, colors))
-            checked += 1
-            if lhs != rhs:
-                return IdentityResult(
-                    "quandebello", False, checked,
-                    {"n": n, "K": colors, "restricted": lhs, "lower_order": rhs},
-                )
-    return IdentityResult("quandebello", True, checked, None)
+            rhs = len(compositions(n - 1, colors))
+            yield lhs == rhs, (n, colors, lhs, rhs)
 
 
-# identity name -> (grid checker, the bounds it reads with their defaults)
+# identity name -> (grid of (holds, case) pairs, the counterexample's key for
+# each entry of a case, the bounds the grid reads with their defaults)
 _IDENTITIES = {
-    "sommedentro": (_check_sommedentro, {"pi": None, "nu": None, "n_max": 6}),
-    "star-vandermonde": (_check_star_vandermonde, {"u_max": 6, "k_max": 6}),
-    "pascal-star": (_check_pascal_star, {"a_max": 12}),
-    "quandebello": (_check_quandebello, {"n_max": 8, "k_max": 5}),
+    "sommedentro": (_sommedentro_cases, ("pi", "nu", "n", "u", "z", "k", "value"),
+                    {"pi": None, "nu": None, "n_max": 6}),
+    "star-vandermonde": (_star_vandermonde_cases, ("u", "q1", "k1", "j", "sum", "closed_form"),
+                         {"u_max": 6, "k_max": 6}),
+    "pascal-star": (_pascal_star_cases, ("a", "b", "lhs", "rhs"), {"a_max": 12}),
+    "quandebello": (_quandebello_cases, ("n", "K", "restricted", "lower_order"),
+                    {"n_max": 8, "k_max": 5}),
 }
 
 
@@ -623,12 +586,13 @@ def check_identity(
     k_max: Optional[int] = None,
     a_max: Optional[int] = None,
 ) -> IdentityResult:
-    """Run the exhaustive grid for a named identity; unset bounds get the
-    documented defaults.  A bound the identity does not read, or bounds
-    that leave nothing to check, are errors: an empty grid is no verdict."""
+    """Run the exhaustive grid for a named identity, stopping at its first
+    failure; unset bounds get the documented defaults.  A bound the
+    identity does not read, or bounds that leave nothing to check, are
+    errors: an empty grid is no verdict."""
     if name not in _IDENTITIES:
         raise ValueError(f"unknown identity {name!r}")
-    checker, defaults = _IDENTITIES[name]
+    cases, keys, defaults = _IDENTITIES[name]
     given = {"pi": pi, "nu": nu, "n_max": n_max, "u_max": u_max, "k_max": k_max, "a_max": a_max}
     for key, value in given.items():
         if value is not None and key not in defaults:
@@ -637,12 +601,19 @@ def check_identity(
         key: default if given[key] is None else given[key]
         for key, default in defaults.items()
     }
-    result = checker(**bounds)
-    if result.checked == 0:
+    checked = 0
+    for holds, case in cases(**bounds):
+        checked += 1
+        if not holds:
+            return IdentityResult(name, False, checked, {
+                key: format_rational(v) if isinstance(v, Fraction) else v
+                for key, v in zip(keys, case)
+            })
+    if checked == 0:
         named = ", ".join(
             f"--{key.replace('_', '-')} {value}"
             for key, value in bounds.items()
             if key.endswith("_max")
         )
         raise ValueError(f"identity {name} has nothing to check with {named}")
-    return result
+    return IdentityResult(name, True, checked, None)

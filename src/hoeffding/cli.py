@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import characterization, decomp, laws, urnsim
-from .exactnum import format_rational, parse_rational
+from .exactnum import compositions, format_rational, parse_rational
 
 __all__ = ["main"]
 
@@ -328,7 +328,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cells = urnsim.empirical_cylinder(state, fn, args.n, args.samples, args.seed)
     law = _compare_law(args, state) if args.compare_exact else None
     all_within = True
-    for comp in decomp.composition_list(args.n, len(state.counts)):
+    for comp in compositions(args.n, len(state.counts)):
         cell = cells[comp]
         entry = {
             "composition": list(comp),

@@ -60,11 +60,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def composition_list(total: int, parts: int) -> tuple[Composition, ...]:
-    return tuple(compositions(total, parts))
-
-
 class _CompositionTable:
     """An exact value for every composition of a fixed order."""
 
@@ -76,7 +71,7 @@ class _CompositionTable:
         if colors < 1:
             raise ValueError("need at least one color")
         complete: dict[Composition, Fraction] = {}
-        for comp in composition_list(order, colors):
+        for comp in compositions(order, colors):
             if comp not in values:
                 raise ValueError(f"missing value for composition {tuple(comp)}")
             complete[comp] = parse_rational(values[comp])
@@ -89,12 +84,12 @@ class _CompositionTable:
 
     @classmethod
     def from_function(cls, order: int, colors: int, fn: Callable) :
-        return cls(order, colors, {c: fn(c) for c in composition_list(order, colors)})
+        return cls(order, colors, {c: fn(c) for c in compositions(order, colors)})
 
     @classmethod
     def constant(cls, order: int, colors: int, value) :
         v = parse_rational(value)
-        return cls(order, colors, {c: v for c in composition_list(order, colors)})
+        return cls(order, colors, {c: v for c in compositions(order, colors)})
 
     @classmethod
     def indicator(cls, comp: Sequence[int]) :
@@ -111,12 +106,12 @@ class _CompositionTable:
             ) from None
 
     def items(self):
-        for comp in composition_list(self.order, self.colors):
+        for comp in compositions(self.order, self.colors):
             yield comp, self._values[comp]
 
     def as_vector(self, comps: Optional[Sequence[Composition]] = None) -> list[Fraction]:
         if comps is None:
-            comps = composition_list(self.order, self.colors)
+            comps = compositions(self.order, self.colors)
         return [self._values[c] for c in comps]
 
     def __eq__(self, other) -> bool:
@@ -172,9 +167,9 @@ def _ustat_matrix(n: int, k: int, colors: int) -> tuple[tuple[int, ...], ...]:
     # one kernel, and for k = n the matrix is the identity.  _solve_kernel
     # finds it by forward substitution on that block, then an exact
     # membership check against every row.
-    subs = composition_list(k, colors)
+    subs = compositions(k, colors)
     rows = []
-    for i in composition_list(n, colors):
+    for i in compositions(n, colors):
         row = []
         for c in subs:
             w = 1
@@ -202,13 +197,13 @@ def u_statistic(phi: SymmetricKernel, n: int) -> SymmetricStatistic:
     matrix = _ustat_matrix(n, phi.order, phi.colors)
     values = {
         i: Fraction(sum(w * v for w, v in zip(row, nums) if w), den)
-        for i, row in zip(composition_list(n, phi.colors), matrix)
+        for i, row in zip(compositions(n, phi.colors), matrix)
     }
     return SymmetricStatistic(n, phi.colors, values)
 
 
 def _class_weights(law: ExchangeableLaw, n: int) -> list[Fraction]:
-    return [class_prob(law, i) for i in composition_list(n, law.K)]
+    return [class_prob(law, i) for i in compositions(n, law.K)]
 
 
 def inner_product(
@@ -281,7 +276,7 @@ def decompose(
     """
     if statistic.order != n or statistic.colors != law.K:
         raise ValueError("statistic must match the stated order and alphabet")
-    comps = composition_list(n, law.K)
+    comps = compositions(n, law.K)
     tvec = statistic.as_vector(comps)
     weights = _class_weights(law, n)
     parts = []
@@ -292,7 +287,7 @@ def decompose(
             proj = tvec
         else:
             coef = _project_su(_ustat_matrix(n, k, law.K), weights, tvec)
-            phi = SymmetricKernel(k, law.K, dict(zip(composition_list(k, law.K), coef)))
+            phi = SymmetricKernel(k, law.K, dict(zip(compositions(k, law.K), coef)))
             proj = u_statistic(phi, n).as_vector(comps)
         values = {c: a - b for c, a, b in zip(comps, proj, prev)}
         parts.append(SymmetricStatistic(n, law.K, values))
@@ -306,19 +301,19 @@ def _solve_kernel(
     # The kernel of a statistic in SU_k, or None when it is outside.  For
     # k = n the matrix is the identity and the kernel is the statistic
     # itself.  For k < n the rows c + (n-k)e_1 fix the kernel by forward
-    # substitution: composition_list walks c in increasing tail degree, and
+    # substitution: compositions walks c in increasing tail degree, and
     # that row reaches only columns whose tail is <= c's componentwise.
     # The kernel's U-statistic then decides membership.
     if statistic.order != n or statistic.colors != law.K:
         raise ValueError("statistic must match the stated order and alphabet")
     if not 0 <= k <= n:
         raise ValueError(f"{caller} needs 0 <= k <= n, got k={k}")
-    comps = composition_list(k, law.K)
+    comps = compositions(k, law.K)
     tvec = statistic.as_vector()
     if k == n:
         return SymmetricKernel(k, law.K, dict(zip(comps, tvec)))
     matrix = _ustat_matrix(n, k, law.K)
-    row_of = {c: r for r, c in enumerate(composition_list(n, law.K))}
+    row_of = {c: r for r, c in enumerate(compositions(n, law.K))}
     x: list[Fraction] = []
     for j, c in enumerate(comps):
         r = row_of[(c[0] + n - k, *c[1:])]
@@ -365,7 +360,7 @@ def is_completely_degenerate(law: ExchangeableLaw, phi: SymmetricKernel) -> Dege
         raise ValueError("complete degeneracy concerns kernels of order >= 1")
     if phi.colors != law.K:
         raise ValueError("kernel and law must share one alphabet")
-    for h in composition_list(phi.order - 1, law.K):
+    for h in compositions(phi.order - 1, law.K):
         acc = Fraction(0)
         for j in range(law.K):
             acc += predictive_prob(law, h, j) * phi(h.increment(j))
@@ -395,10 +390,10 @@ def xi_constraint_matrix(law: ExchangeableLaw, n: int) -> list[list[Fraction]]:
     order n-1, with coefficient P_n(h + e_j) on the column of h + e_j."""
     if n < 1:
         raise ValueError("xi_constraint_matrix needs n >= 1")
-    comps_n = composition_list(n, law.K)
+    comps_n = compositions(n, law.K)
     col = {c: idx for idx, c in enumerate(comps_n)}
     rows = []
-    for h in composition_list(n - 1, law.K):
+    for h in compositions(n - 1, law.K):
         row = [Fraction(0)] * len(comps_n)
         for j in range(law.K):
             target = h.increment(j)
@@ -410,7 +405,7 @@ def xi_constraint_matrix(law: ExchangeableLaw, n: int) -> list[list[Fraction]]:
 def xi_nullspace_basis(law: ExchangeableLaw, n: int) -> list[SymmetricKernel]:
     """A basis (by exact null-space solve) of the order-n kernels killed by
     conditioning on all but the first coordinate."""
-    comps_n = composition_list(n, law.K)
+    comps_n = compositions(n, law.K)
     basis = linalg.nullspace(xi_constraint_matrix(law, n))
     return [SymmetricKernel(n, law.K, dict(zip(comps_n, vec))) for vec in basis]
 
@@ -456,7 +451,7 @@ def _oracle_rows(
     table: _CylinderTable, n: int, u: int
 ) -> list[tuple[Composition, tuple[tuple[int, int], ...], Fraction]]:
     # One kernel-independent integer row per class z of order n-1, in
-    # order, over the columns composition_list(n, K): entry (a, b, mult)
+    # order, over the columns compositions(n, K): entry (a, b, mult)
     # of the block-split census of z and fresh class (w, fmult) of u draws
     # add mult * fmult * P(w+z) at the column of w+a, with the P(w+z) of
     # one z as integer numerators over their common denominator D_z.  A
@@ -464,11 +459,11 @@ def _oracle_rows(
     # symmetrized shift expectation of phi over the class, total being the
     # census size of z; that scale is kept with the row.
     colors = table.law.K
-    col = {c: j for j, c in enumerate(composition_list(n, colors))}
+    col = {c: j for j, c in enumerate(compositions(n, colors))}
     fresh = _count_census(colors, u)
     census = _block_split_census(colors, n - 1, n - u)
     rows = []
-    for z in composition_list(n - 1, colors):
+    for z in compositions(n - 1, colors):
         nums, den = _common_denominator(table[tuple(map(add, w, z))] for w, _ in fresh)
         coefs: dict[int, int] = {}
         total = 0
@@ -520,7 +515,7 @@ def weak_independence_oracle(
     if table is None:
         table = _CylinderTable(law)
     basis = xi_nullspace_basis(law, n)
-    comps = composition_list(n, law.K)
+    comps = compositions(n, law.K)
     rows: dict[int, list] = {}
     for idx, phi in enumerate(basis):
         vec, vden = _common_denominator(phi.as_vector(comps))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
 Rational = Fraction
@@ -169,16 +170,18 @@ def _composition_tuples(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def compositions(total: int, parts: int) -> Iterator[Composition]:
+@lru_cache(maxsize=None)
+def compositions(total: int, parts: int) -> tuple[Composition, ...]:
     """All weak compositions of ``total`` into ``parts`` counts.
 
     Enumeration is lexicographically descending on the counts, e.g.
-    (2, 3) yields (2,0,0), (1,1,0), (1,0,1), (0,2,0), (0,1,1), (0,0,2).
-    The number of elements is C(total + parts - 1, parts - 1).
+    (2, 3) gives (2,0,0), (1,1,0), (1,0,1), (0,2,0), (0,1,1), (0,0,2).
+    The number of elements is C(total + parts - 1, parts - 1).  The tuple
+    is built once per (total, parts) and shared by every caller.
     """
     if total < 0 or parts < 0:
         raise ValueError("compositions needs total >= 0 and parts >= 0")
-    return (Composition(t) for t in _composition_tuples(total, parts))
+    return tuple(Composition(t) for t in _composition_tuples(total, parts))
 
 
 def class_size(i: Sequence[int]) -> int:

@@ -30,7 +30,7 @@ from hoeffding.characterization import (
     xi_dimension,
     xi_index_set,
 )
-from hoeffding.decomp import composition_list, xi_constraint_matrix, xi_nullspace_basis
+from hoeffding.decomp import xi_constraint_matrix, xi_nullspace_basis
 from hoeffding.exactnum import Composition, beta_ratio, compositions, multinomial_star
 from hoeffding.laws import cylinder_prob, parse_law
 
@@ -113,7 +113,7 @@ class TestXiBasis:
         for m in xi_index_set(n, law.K):
             phi = xi_basis_kernel(law, n, m)
             ref = Composition((0, *m, n - sum(m)))
-            for i in composition_list(n, law.K):
+            for i in compositions(n, law.K):
                 if i[0] != 0:
                     continue
                 assert phi(i) == (1 if i == ref else 0)
@@ -125,7 +125,7 @@ class TestXiBasis:
         n = 3
         colors = law.K
         for phi in xi_basis(law, n):
-            for i in composition_list(n, colors):
+            for i in compositions(n, colors):
                 if i[0] == 0:
                     continue
                 lhs = cylinder_prob(law, i) * phi(i)
@@ -386,6 +386,14 @@ class TestSigmaHls:
             sigma_hls(1, 2, 3, 2, 1, 1, 2, 0)  # k1 outside the coherent range
         with pytest.raises(ValueError):
             sigma_hls(1, 2, 3, 2, 4, 1, 1, 0)  # m above n
+        with pytest.raises(ValueError):
+            sigma_hls(1, 2, 3, 2, 1, 1, 1, -1)  # k2 negative
+        with pytest.raises(ValueError):
+            sigma_hls(0, 2, 3, 2, 1, 1, 1, 0)  # pi not positive
+        with pytest.raises(ValueError):
+            sigma_hls(1, 2, 3, 4, 1, 1, 1, 0)  # u above n
+        with pytest.raises(ValueError):
+            sigma_hls(1, 2, 3, 2, 1, 3, 1, 0)  # z1 above n-1
 
 
 class TestStarVandermonde:
@@ -466,6 +474,23 @@ class TestCheckIdentity:
             for u in range(2, n + 1)
             for z in range(n)
         )
+
+    def test_lone_pi_or_nu_pairs_with_every_grid_value(self, monkeypatch):
+        seen = []
+
+        def record(pi, nu, n, u, z, k):
+            seen.append((pi, nu))
+            return Fraction(0)
+
+        monkeypatch.setattr(characterization, "sommedentro_sum", record)
+        grid = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2)]
+        pin = Fraction(7, 3)
+        # two cases per pair at n_max 2, in grid order
+        assert check_identity("sommedentro", pi="7/3", n_max=2).checked == 10
+        assert seen == [(pin, b) for b in grid for _ in range(2)]
+        seen.clear()
+        assert check_identity("sommedentro", nu="7/3", n_max=2).checked == 10
+        assert seen == [(a, pin) for a in grid for _ in range(2)]
 
     def test_jsonable(self):
         obj = check_identity("pascal-star", a_max=2).to_jsonable()

@@ -239,6 +239,15 @@ class TestIdentity:
         assert code == 0
         assert json.loads(out)["checked"] == 9
 
+    @pytest.mark.parametrize("flag", ["--pi", "--nu"])
+    def test_lone_pi_or_nu_sweeps_the_other_over_the_grid(self, flag):
+        # 105 cases per (pi, nu) pair at the default n-max, times the five
+        # grid values of the unset parameter
+        code, out, _ = run_cli(["identity", "sommedentro", flag, "3/2"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["holds"] is True and report["checked"] == 5 * 105
+
     def test_unknown_name_is_usage_error(self):
         code, _, err = run_cli(["identity", "legendre"])
         assert code == 2 and err != ""

@@ -22,7 +22,6 @@ from hoeffding.decomp import (
     OracleWitness,
     SymmetricKernel,
     SymmetricStatistic,
-    composition_list,
     decompose,
     degenerate_kernel_for,
     inner_product,
@@ -80,7 +79,7 @@ def ustat_by_position_subsets(phi, seq):
 def random_kernel(order, colors, rng):
     values = {
         c: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        for c in composition_list(order, colors)
+        for c in compositions(order, colors)
     }
     return SymmetricKernel(order, colors, values)
 
@@ -88,7 +87,7 @@ def random_kernel(order, colors, rng):
 def random_statistic(order, colors, rng):
     values = {
         c: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        for c in composition_list(order, colors)
+        for c in compositions(order, colors)
     }
     return SymmetricStatistic(order, colors, values)
 
@@ -104,7 +103,7 @@ class TestUStatistic:
         for k in range(0, 4):
             phi = SymmetricKernel.constant(k, 3, 1)
             f = u_statistic(phi, 4)
-            for i in composition_list(4, 3):
+            for i in compositions(4, 3):
                 assert f(i) == math.comb(4, k)
 
     def test_against_position_subset_enumeration(self):
@@ -113,14 +112,14 @@ class TestUStatistic:
             for k in range(0, n + 1):
                 phi = random_kernel(k, 3, rng)
                 f = u_statistic(phi, n)
-                for i in composition_list(n, 3):
+                for i in compositions(n, 3):
                     assert f(i) == ustat_by_position_subsets(phi, canonical_sequence(i))
 
     def test_four_colors(self):
         rng = random.Random(11)
         phi = random_kernel(2, 4, rng)
         f = u_statistic(phi, 3)
-        for i in composition_list(3, 4):
+        for i in compositions(3, 4):
             assert f(i) == ustat_by_position_subsets(phi, canonical_sequence(i))
 
     def test_order_above_n_rejected(self):
@@ -232,7 +231,7 @@ class TestKernelFor:
             for n in range(6 if colors == 5 else 7):
                 for k in range(n + 1):
                     assert linalg.nullspace(_ustat_matrix(n, k, colors)) == []
-                size = len(composition_list(n, colors))
+                size = len(compositions(n, colors))
                 identity = tuple(
                     tuple(int(r == c) for c in range(size)) for r in range(size)
                 )
@@ -327,10 +326,10 @@ class TestDegeneracy:
 
 
 def degeneracy_rows(law, k):
-    comps_k = composition_list(k, law.K)
+    comps_k = compositions(k, law.K)
     col = {c: idx for idx, c in enumerate(comps_k)}
     rows = []
-    for h in composition_list(k - 1, law.K):
+    for h in compositions(k - 1, law.K):
         row = [Fraction(0)] * len(comps_k)
         for j in range(law.K):
             row[col[h.increment(j)]] += predictive_prob(law, h, j)
@@ -366,10 +365,10 @@ class TestDegenerateKernelFor:
                     sum((c * v[idx] for c, v in zip(coefs, null)), Fraction(0))
                     for idx in range(len(null[0]))
                 ]
-                phi = SymmetricKernel(k, law.K, dict(zip(composition_list(k, law.K), vec)))
+                phi = SymmetricKernel(k, law.K, dict(zip(compositions(k, law.K), vec)))
                 assert is_completely_degenerate(law, phi).degenerate
                 image = u_statistic(phi, n)
-                for c in composition_list(k - 1, law.K):
+                for c in compositions(k - 1, law.K):
                     lower = u_statistic(SymmetricKernel.indicator(c), n)
                     assert inner_product(law, n, image, lower) == 0
 
@@ -465,7 +464,7 @@ class TestWeakIndependenceOracle:
     def test_shared_rows_give_every_symmetrized_value(self, n):
         # the mixture's first witness sits on a class of one sequence, so
         # compare every value, also where the census has several splits
-        comps = composition_list(n, MIX.K)
+        comps = compositions(n, MIX.K)
         table = _CylinderTable(MIX)
         rows = {u: _oracle_rows(table, n, u) for u in range(2, n + 1)}
         values = [
@@ -532,13 +531,13 @@ class TestShDims:
 
 class TestTables:
     def test_total_map_required(self):
-        grid = composition_list(2, 3)
+        grid = compositions(2, 3)
         partial = {c: 1 for c in grid[:-1]}
         with pytest.raises(ValueError, match="missing value"):
             SymmetricStatistic(2, 3, partial)
 
     def test_off_grid_values_rejected(self):
-        values = {c: 1 for c in composition_list(2, 3)}
+        values = {c: 1 for c in compositions(2, 3)}
         values[Composition((3, 0, 0))] = 1
         with pytest.raises(ValueError, match="off the order-2 grid"):
             SymmetricStatistic(2, 3, values)
@@ -564,7 +563,7 @@ class TestTables:
 
     def test_items_follow_enumeration_order(self):
         t = SymmetricStatistic.from_function(2, 3, lambda c: c[0])
-        assert [c for c, _ in t.items()] == list(composition_list(2, 3))
+        assert [c for c, _ in t.items()] == list(compositions(2, 3))
 
 
 class TestJson:
