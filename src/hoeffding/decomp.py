@@ -301,8 +301,8 @@ def _solve_kernel(
     # The kernel of a statistic in SU_k, or None when it is outside.  For
     # k = n the matrix is the identity and the kernel is the statistic
     # itself.  For k < n the rows c + (n-k)e_1 fix the kernel by forward
-    # substitution: compositions walks c in increasing tail degree, and
-    # that row reaches only columns whose tail is <= c's componentwise.
+    # substitution: compositions(k, K) lists c in increasing tail degree,
+    # and that row reaches only columns whose tail is <= c's componentwise.
     # The kernel's U-statistic then decides membership.
     if statistic.order != n or statistic.colors != law.K:
         raise ValueError("statistic must match the stated order and alphabet")
