@@ -17,11 +17,9 @@ collapse to zero.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 from operator import add, sub
 from typing import Callable, Iterator, Optional, Sequence
@@ -365,52 +363,25 @@ def _group_values(table: _CylinderTable, n: int, u: int, z: Composition) -> list
     return [Fraction(c, den) for c in coef]
 
 
-def _values_of(
-    law: ExchangeableLaw, groups: Sequence[tuple[int, int, Composition]]
-) -> list[list[Rational]]:
-    """The criterion values of each (n, u, z) group, on one cylinder table:
-    the whole sweep when serial, one worker's share when pooled."""
-    table = _CylinderTable(law)
-    return [_group_values(table, *group) for group in groups]
-
-
-def verify_hd(law: ExchangeableLaw, n_max: int, jobs: int = 1) -> VerificationReport:
+def verify_hd(law: ExchangeableLaw, n_max: int) -> VerificationReport:
     """Evaluate the criterion over every tuple with 2 <= n <= n_max.
 
     Work is split into (n, u, z) groups, each evaluating the criterion for
-    every kernel index m at once.  With jobs > 1 the groups are dealt out
-    to min(jobs, cpu count, group count) worker processes, each filling
-    its own cylinder table; that pays off only on sweeps of about a second
-    or more, so the default is one job, in this process.  Entries are
-    listed in the fixed lexicographic order (n, u, z, m), so reports are
-    byte-stable for a given (law, n_max) regardless of scheduling.
+    every kernel index m at once, all on one cylinder table in this
+    process.  Entries are listed in the fixed lexicographic order
+    (n, u, z, m), so reports are byte-stable for a given (law, n_max).
     """
     if law.K < 3:
         raise ValueError(_K2_HINT)
     if n_max < 2:
         raise ValueError("verify_hd needs n_max >= 2")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    groups = [
-        (n, u, z)
+    table = _CylinderTable(law)
+    entries = tuple(
+        VerificationEntry(n, u, z, tuple(m), v)
         for n in range(2, n_max + 1)
         for u in range(2, n + 1)
         for z in compositions(n - 1, law.K)
-    ]
-    workers = min(jobs, os.cpu_count() or 1, len(groups))
-    if workers > 1:
-        # one interleaved share per worker, so each gets groups of every size
-        values: list = [None] * len(groups)
-        shares = [groups[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, share in enumerate(pool.map(partial(_values_of, law), shares)):
-                values[i::workers] = share
-    else:
-        values = _values_of(law, groups)
-    entries = tuple(
-        VerificationEntry(n, u, z, tuple(m), v)
-        for (n, u, z), group_values in zip(groups, values)
-        for m, v in zip(xi_index_set(n, law.K), group_values)
+        for m, v in zip(xi_index_set(n, law.K), _group_values(table, n, u, z))
     )
     return VerificationReport(format_law(law), n_max, entries)
 

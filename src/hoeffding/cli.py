@@ -85,15 +85,9 @@ def _emit(obj: dict, out: Optional[str]) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    law = _load_law(args.law)
-    if law.K == 2:
-        print(
-            "error: the criterion sweep needs K >= 3; "
-            "use the `oracle` subcommand for two-color laws",
-            file=sys.stderr,
-        )
-        return 2
-    report = characterization.verify_hd(law, args.n_max, jobs=args.jobs)
+    if args.jobs < 1:
+        raise ValueError("--jobs must be >= 1")
+    report = characterization.verify_hd(_load_law(args.law), args.n_max)
     _emit(report.to_jsonable(include_zeros=args.include_zeros), args.out)
     return 0 if report.all_zero else 1
 
@@ -353,10 +347,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_law_check(args: argparse.Namespace) -> int:
-    law = _load_law(args.law)
-    if args.n_max < 1:
-        raise ValueError("--n-max must be >= 1")
-    report = laws.check_consistency(law, args.n_max)
+    report = laws.check_consistency(_load_law(args.law), args.n_max)
     _emit(report.to_jsonable(), args.out)
     return 0 if report.passed else 1
 
@@ -379,8 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes, capped at the core count and the group count; "
-        "pays off only on sweeps of about a second or more (default 1)",
+        help="accepted for compatibility and ignored: the sweep runs in one "
+        "process (must be >= 1; default 1)",
     )
     verify.add_argument(
         "--include-zeros",

@@ -51,9 +51,6 @@ class Composition(tuple):
                 )
         return made
 
-    def __getnewargs__(self):
-        return (tuple(self),)
-
     @property
     def order(self) -> int:
         """Total count, i.e. the length of the sequences in this class."""

@@ -269,12 +269,6 @@ class TestVerifyHd:
         ]
         assert seen == expect
 
-    def test_parallel_report_is_identical(self):
-        sequential = verify_hd(MIX, 3, jobs=1)
-        parallel = verify_hd(MIX, 3, jobs=2)
-        assert sequential == parallel
-        assert sequential.to_jsonable() == parallel.to_jsonable()
-
     # the mixtures give nonzero values with one, two and three middle colors
     @pytest.mark.parametrize("law, n_max", [
         (IID_REF, 5), (POLYA_REF, 5), (HLS3, 5), (HLS4, 4), (MIX, 5),
@@ -290,21 +284,6 @@ class TestVerifyHd:
         if law in (MIX4, MIX5):
             assert nonzero > 200
             assert any(e.value and sum(e.m) == e.n for e in report.entries)
-
-    @pytest.mark.parametrize("jobs, cores, n_max, workers", [
-        (10**6, 2, 3, 2),      # capped by the core count
-        (64, 32, 2, 3),        # capped by the three (n, u, z) groups of n_max 2
-        (3, 8, 3, 3),          # the request itself
-        (10**6, None, 3, None),  # unknown core count: one core, no pool
-        (1, 8, 3, None),
-    ])
-    def test_worker_count_is_capped(
-        self, monkeypatch, recording_pool, jobs, cores, n_max, workers
-    ):
-        monkeypatch.setattr(characterization.os, "cpu_count", lambda: cores)
-        report = verify_hd(MIX, n_max, jobs=jobs)
-        assert recording_pool == ([] if workers is None else [workers])
-        assert report == verify_hd(MIX, n_max)
 
     def test_jsonable_schema_and_zeros_only(self):
         report = verify_hd(MIX, 2)
@@ -328,8 +307,6 @@ class TestVerifyHd:
             verify_hd(parse_law("iid:p=1/2,1/2"), 3)
         with pytest.raises(ValueError):
             verify_hd(HLS3, 1)
-        with pytest.raises(ValueError):
-            verify_hd(HLS3, 3, jobs=0)
 
 
 class TestSommedentro:

@@ -7,6 +7,7 @@ suite runs with capture off."""
 import contextlib
 import io
 import json
+import multiprocessing.process
 import os
 import stat
 import threading
@@ -138,26 +139,22 @@ class TestVerify:
         assert not reader.is_alive()
         assert received == [stdout] and stat.S_ISFIFO(os.stat(pipe).st_mode)
 
-    def test_jobs_are_capped_at_the_core_count(self, monkeypatch, recording_pool):
-        monkeypatch.setattr(characterization.os, "cpu_count", lambda: 3)
-        argv = ["verify", "--law", "polya:alpha=1,2,3", "--n-max", "3"]
-        capped = run_cli(argv + ["--jobs", "1000000"])
-        assert recording_pool == [3]
-        assert capped == run_cli(argv + ["--jobs", "1"])
-        assert recording_pool == [3]
-
-    def test_one_job_and_no_pool_by_default(self, monkeypatch, recording_pool):
-        monkeypatch.setattr(characterization.os, "cpu_count", lambda: 3)
-        argv = ["verify", "--law", "polya:alpha=1,2,3", "--n-max", "3"]
-        assert run_cli(argv) == run_cli(argv + ["--jobs", "1"])
-        assert recording_pool == []
-
-    def test_jobs_below_one_are_an_input_error(self, recording_pool):
+    def test_jobs_below_one_are_an_input_error(self):
         code, out, err = run_cli(
             ["verify", "--law", "polya:alpha=1,2,3", "--n-max", "3", "--jobs", "0"])
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "jobs" in err and recording_pool == []
+        assert "jobs" in err
+
+    def test_no_process_is_started(self, monkeypatch):
+        argv = ["verify", "--law", "polya:alpha=1,2,3", "--n-max", "3"]
+        expected = run_cli(argv)
+
+        def refuse(self):
+            raise RuntimeError("verify started a process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        assert run_cli(argv + ["--jobs", "2"]) == expected
 
 
 class TestOracle:
@@ -423,6 +420,12 @@ class TestLawCheck:
         code, _, err = run_cli(["law-check", "--law", "iid:p=1/2,1/2,1/2",
                                 "--n-max", "2"])
         assert code == 2 and err.startswith("error:")
+
+    def test_n_max_below_one_is_an_input_error(self):
+        code, out, err = run_cli(["law-check", "--law", "polya:alpha=1,2,3",
+                                  "--n-max", "0"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestErrorChannel:

@@ -6,6 +6,7 @@ peeling recurrences for Beta ratios, and raw product() filtering for
 compositions.  None of them share code with the implementation.
 """
 
+import copy
 import math
 import pickle
 from fractions import Fraction
@@ -250,8 +251,11 @@ class TestComposition:
         assert c == (1, 2, 0)
         assert hash(c) == hash((1, 2, 0))
         assert {c: "x"}[(1, 2, 0)] == "x"
-        assert pickle.loads(pickle.dumps(c)) == c
-        assert isinstance(pickle.loads(pickle.dumps(c)), Composition)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(c, protocol))
+            assert back == c and type(back) is Composition, protocol
+        copied = copy.deepcopy(c)
+        assert copied == c and type(copied) is Composition
 
 
 class TestRationalStrings:
