@@ -493,6 +493,29 @@ class TestErrorChannel:
         assert str(named) in err
         assert [p.name for p in tmp_path.iterdir()] == ["stat.json"]
 
+    def test_command_checks_share_main_error_line(self, tmp_path, monkeypatch):
+        # the exact stderr and exit code of each input check made inside a
+        # subcommand, as main prints every ValueError
+        path = str(statistic_file(tmp_path))
+        law = "iid:p=1/2,1/3,1/6"
+        code, out, err = run_cli(
+            ["decompose", "--law", law, "--statistic", path, "--n", "4"])
+        assert (code, out, err) == (
+            2, "", "error: --n 4 does not match the statistic's order 3\n")
+
+        failure = {"check": "normalization", "n": 3, "composition": None,
+                   "detail": "2/1"}
+        monkeypatch.setattr(laws, "check_consistency", lambda law, n: laws.ConsistencyReport(
+            laws.format_law(law), n, False, failure))
+        code, out, err = run_cli(["decompose", "--law", law, "--statistic", path])
+        assert (code, out, err) == (2, "", f"error: law failed consistency: {failure}\n")
+
+        for flags in (["--steps", "3", "--samples", "10", "--n", "2"], []):
+            code, out, err = run_cli(
+                ["simulate", "--urn", "polya", "--initial", "1,1", *flags])
+            assert (code, out, err) == (
+                2, "", "error: pass exactly one of --steps or --samples\n")
+
     def test_internal_error_exits_three(self, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("broken on purpose")
