@@ -144,21 +144,14 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     statistic = decomp.load_statistic_file(args.statistic)
     n = statistic.order
     if args.n is not None and args.n != n:
-        print(
-            f"error: --n {args.n} does not match the statistic's order {n}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"--n {args.n} does not match the statistic's order {n}")
     if statistic.colors != law.K:
         raise ValueError(
             f"statistic has K={statistic.colors} but the law has K={law.K}"
         )
     consistency = laws.check_consistency(law, n)
     if not consistency.passed:
-        print(
-            f"error: law failed consistency: {consistency.failure}", file=sys.stderr
-        )
-        return 2
+        raise ValueError(f"law failed consistency: {consistency.failure}")
     parts = decomp.decompose(law, n, statistic)
     recon = parts[0]
     for part in parts[1:]:
@@ -294,8 +287,7 @@ def _compare_law(args: argparse.Namespace, state: urnsim.UrnState) -> laws.Excha
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if (args.steps is None) == (args.samples is None):
-        print("error: pass exactly one of --steps or --samples", file=sys.stderr)
-        return 2
+        raise ValueError("pass exactly one of --steps or --samples")
     if args.steps is not None and (args.n is not None or args.compare_exact):
         raise ValueError("--n and --compare-exact need --samples, not --steps")
     state, fn = _build_urn(args)
