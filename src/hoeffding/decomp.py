@@ -559,23 +559,34 @@ def table_to_jsonable(table: _CompositionTable) -> dict:
 
 
 def statistic_from_jsonable(obj: dict) -> SymmetricStatistic:
+    # as in law files: no unknown keys, and each composition listed once
     if not isinstance(obj, dict):
         raise ValueError("kernel/statistic JSON must be an object")
+    unknown = [key for key in obj if key not in ("order", "K", "values")]
+    if unknown:
+        raise ValueError(f"unknown statistic fields {unknown}")
     order, colors, raw = obj.get("order"), obj.get("K"), obj.get("values")
     if type(order) is not int or type(colors) is not int or not isinstance(raw, list):
         raise ValueError("kernel/statistic JSON needs integer order and K and a values list")
     values = {}
     for item in raw:
         try:
+            if not isinstance(item, dict):
+                raise TypeError("an entry must be an object")
+            unknown = [key for key in item if key not in ("composition", "value")]
+            if unknown:
+                raise ValueError(f"unknown fields {unknown}")
             comp = Composition(item["composition"])
             value = item["value"]
-            # as in law files: a JSON integer or a "num/den" string, never a
-            # boolean or a float
+            # a JSON integer or a "num/den" string, never a boolean or a float
             if type(value) not in (int, str):
                 raise TypeError(f"value must be an integer or a string, got {value!r}")
-            values[comp] = parse_rational(value)
+            value = parse_rational(value)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed value entry {item!r}: {exc}") from exc
+        if comp in values:
+            raise ValueError(f"composition {list(comp)} is listed more than once")
+        values[comp] = value
     return SymmetricStatistic(order, colors, values)
 
 

@@ -472,6 +472,32 @@ class TestErrorChannel:
         assert code == 2 and out == ""
         assert err.startswith("error: malformed value entry")
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"composition": [1, 0], "value": 7},
+         "error: composition [1, 0] is listed more than once\n"),
+        ({"composition": [0, 1], "value": 0, "note": "x"},
+         "error: malformed value entry {'composition': [0, 1], 'value': 0, 'note': 'x'}: "
+         "unknown fields ['note']\n"),
+    ], ids=["repeated-composition", "unknown-entry-field"])
+    def test_statistic_entries_are_listed_once_with_known_fields(
+            self, tmp_path, extra, message):
+        path = tmp_path / "stat.json"
+        path.write_text(json.dumps({"order": 1, "K": 2, "values": [
+            {"composition": [1, 0], "value": "1/2"}, extra,
+            {"composition": [0, 1], "value": 0}]}))
+        code, out, err = run_cli(
+            ["decompose", "--law", "iid:p=1/2,1/2", "--statistic", str(path)])
+        assert (code, out, err) == (2, "", message)
+
+    def test_statistic_file_rejects_unknown_fields(self, tmp_path):
+        path = statistic_file(tmp_path)
+        obj = json.loads(path.read_text())
+        obj["colors"] = 3
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(
+            ["decompose", "--law", "iid:p=1/2,1/3,1/6", "--statistic", str(path)])
+        assert (code, out, err) == (2, "", "error: unknown statistic fields ['colors']\n")
+
     @pytest.mark.parametrize("case", ["out-dir-missing", "statistic-missing", "law-is-a-directory"])
     def test_unusable_path_is_an_input_error(self, tmp_path, case):
         stat_path = statistic_file(tmp_path)

@@ -604,6 +604,27 @@ class TestJson:
         with pytest.raises(ValueError, match="malformed value entry"):
             statistic_from_jsonable(obj)
 
+    def test_repeated_composition_rejected(self):
+        # a second entry must not silently replace the first
+        obj = {"order": 1, "K": 2, "values": [
+            {"composition": [1, 0], "value": "1/2"},
+            {"composition": [1, 0], "value": 7},
+            {"composition": [0, 1], "value": 0},
+        ]}
+        with pytest.raises(ValueError, match=r"composition \[1, 0\] is listed more than once"):
+            statistic_from_jsonable(obj)
+
+    def test_unknown_fields_rejected(self):
+        obj = table_to_jsonable(SymmetricStatistic.constant(1, 3, 1))
+        with pytest.raises(ValueError, match=r"unknown statistic fields \['n'\]"):
+            statistic_from_jsonable({**obj, "n": 1})
+        obj["values"][1]["weight"] = 2
+        with pytest.raises(ValueError, match=r"malformed value entry .*unknown fields \['weight'\]"):
+            statistic_from_jsonable(obj)
+        obj["values"][1] = [[0, 1, 0], 1]
+        with pytest.raises(ValueError, match="malformed value entry"):
+            statistic_from_jsonable(obj)
+
     def test_load_statistic_file(self, tmp_path):
         t = SymmetricStatistic.from_function(2, 3, lambda c: c[1])
         path = tmp_path / "stat.json"
