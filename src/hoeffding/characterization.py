@@ -29,6 +29,7 @@ from .exactnum import (
     Composition,
     Rational,
     RationalLike,
+    _common_denominator,
     beta_ratio,
     binom_star,
     compositions,
@@ -327,12 +328,8 @@ def _group_values(table: _CylinderTable, n: int, u: int, z: Composition) -> list
         (*q, u - a) for a in range(u + 1) for q in compositions(a, head)
     ]
     # multinomial(u, q) * P(z+q) as integers over one denominator
-    probs = [table[tuple(map(add, z, q))] for q in allocations]
-    coef_den = math.lcm(*(p.denominator for p in probs))
-    coefs = [
-        multinomial(u, q[:head]) * p.numerator * (coef_den // p.denominator)
-        for q, p in zip(allocations, probs)
-    ]
+    nums, coef_den = _common_denominator(table[tuple(map(add, z, q))] for q in allocations)
+    coefs = [multinomial(u, q[:head]) * num for q, num in zip(allocations, nums)]
     weights: dict[tuple[int, ...], int] = {}
     for k in coherent_splits(n - 1, n - u, z):
         ka_full = (*k, (n - u) - sum(k))

@@ -214,11 +214,15 @@ def inner_product(
         raise ValueError("inner_product needs statistics of the stated order")
     if t1.colors != law.K or t2.colors != law.K:
         raise ValueError("statistics and law must share one alphabet")
-    acc = Fraction(0)
-    for w, a, b in zip(_class_weights(law, n), t1.as_vector(), t2.as_vector()):
-        if a and b:
-            acc += w * a * b
-    return acc
+    prods, den = _integer_products(_class_weights(law, n), t1.as_vector(), t2.as_vector())
+    return Fraction(sum(prods), den)
+
+
+def _integer_products(*vectors: Sequence[Fraction]) -> tuple[list[int], int]:
+    # The entrywise product of the vectors as integers over one
+    # denominator, the product of the vectors' common denominators.
+    nums, dens = zip(*map(_common_denominator, vectors))
+    return list(map(math.prod, zip(*nums))), math.prod(dens)
 
 
 def _su_gram(
@@ -250,15 +254,13 @@ def _project_su(
     # columns of matrix (the indicator U-statistics of one order), via the
     # normal equations.  The columns are independent and every class has
     # positive probability, so the Gram matrix is positive definite and the
-    # solve is unique.
-    ncols = len(matrix[0])
-    rhs = []
-    for a in range(ncols):
-        acc = Fraction(0)
-        for w, mrow, tv in zip(weights, matrix, tvec):
-            if mrow[a] and tv:
-                acc += w * mrow[a] * tv
-        rhs.append(acc)
+    # solve is unique.  The right-hand side M^T W t is one integer sum per
+    # column over the weights' and the statistic's common denominators.
+    prods, den = _integer_products(weights, tvec)
+    rhs = [
+        Fraction(sum(mrow[a] * p for mrow, p in zip(matrix, prods) if mrow[a]), den)
+        for a in range(len(matrix[0]))
+    ]
     coef = linalg.solve(_su_gram(matrix, weights), rhs)
     assert coef is not None, "normal equations are always consistent"
     return coef

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
+
+from .exactnum import _common_denominator
 
 __all__ = ["row_echelon", "rank", "nullspace", "solve"]
 
@@ -27,14 +28,7 @@ class Echelon:
 def _integer_rows(rows: Matrix) -> list[list[int]]:
     # Row scaling by the positive lcm of denominators preserves row space,
     # null space and, for augmented rows, the solution set.
-    out: list[list[int]] = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        den = 1
-        for x in fr:
-            den = lcm(den, x.denominator)
-        out.append([int(x * den) for x in fr])
-    return out
+    return [_common_denominator(row)[0] for row in rows]
 
 
 def row_echelon(rows: Matrix) -> Echelon:

@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .exactnum import Composition, Rational, RationalLike, compositions, parse_rational
+from .exactnum import _common_denominator
 
 __all__ = [
     "UrnState",
@@ -75,8 +76,7 @@ class ConstantUrn:
         if sum(p) != 1:
             raise ValueError("probabilities must sum to 1 exactly")
         object.__setattr__(self, "p", p)
-        denom = math.lcm(*(x.denominator for x in p))
-        object.__setattr__(self, "_weights", tuple(int(x * denom) for x in p))
+        object.__setattr__(self, "_weights", tuple(_common_denominator(p)[0]))
 
     def weights(self, counts: Sequence[int]) -> Sequence[int]:
         return self._weights
@@ -89,7 +89,8 @@ class HLSUrn:
     alpha_{K-2}, 1 - sum(alpha)."""
 
     alpha: tuple[Rational, ...]
-    # D, the lcm of the alpha denominators, and alpha_t D, (1 - sum(alpha)) D
+    # D, the lcm of the alpha denominators (1 - sum(alpha) adds no new
+    # factor), and alpha_t D, (1 - sum(alpha)) D
     _scale: int = field(init=False, repr=False, compare=False)
     _shares: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
@@ -102,10 +103,9 @@ class HLSUrn:
         if sum(alpha) >= 1:
             raise ValueError("ratios must sum to less than 1")
         object.__setattr__(self, "alpha", alpha)
-        scale = math.lcm(*(a.denominator for a in alpha))
+        shares, scale = _common_denominator((*alpha, 1 - sum(alpha)))
         object.__setattr__(self, "_scale", scale)
-        shares = tuple(int(a * scale) for a in (*alpha, 1 - sum(alpha)))
-        object.__setattr__(self, "_shares", shares)
+        object.__setattr__(self, "_shares", tuple(shares))
 
     def weights(self, counts: Sequence[int]) -> Sequence[int]:
         # the probabilities (y_1, alpha_t (1 - y_1), ...) times D * sum(counts)

@@ -14,6 +14,8 @@ from itertools import combinations, product
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hoeffding import linalg
 from hoeffding.decomp import (
@@ -36,9 +38,12 @@ from hoeffding.decomp import (
     xi_constraint_matrix,
     xi_nullspace_basis,
     _block_split_census,
+    _class_weights,
     _count_census,
     _oracle_rows,
+    _project_su,
     _solve_kernel,
+    _su_gram,
     _ustat_matrix,
 )
 from hoeffding.exactnum import Composition, compositions
@@ -221,6 +226,32 @@ class TestDecompose:
             decompose(IID_REF, 3, t)
         with pytest.raises(ValueError):
             decompose(HLS4, 2, t)
+
+
+def fraction_rhs_projection(matrix, weights, tvec):
+    # the projection before integer sums: M^T W t accumulated term by
+    # term in Fractions, then the same normal-equation solve
+    rhs = []
+    for a in range(len(matrix[0])):
+        acc = Fraction(0)
+        for w, mrow, tv in zip(weights, matrix, tvec):
+            if mrow[a] and tv:
+                acc += w * mrow[a] * tv
+        rhs.append(acc)
+    return linalg.solve(_su_gram(matrix, weights), rhs)
+
+
+@given(st.sampled_from(ALL_LAWS), st.integers(1, 3), st.data())
+def test_project_su_matches_fraction_rhs(law, n, data):
+    size = len(compositions(n, law.K))
+    tvec = data.draw(st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+        min_size=size, max_size=size))
+    weights = _class_weights(law, n)
+    for k in range(n):
+        matrix = _ustat_matrix(n, k, law.K)
+        assert _project_su(matrix, weights, tvec) \
+            == fraction_rhs_projection(matrix, weights, tvec)
 
 
 class TestKernelFor:

@@ -1,12 +1,13 @@
 """Exact linear algebra against a plain Gaussian-elimination oracle."""
 
+import math
 import random
 from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hoeffding.linalg import nullspace, rank, row_echelon, solve
+from hoeffding.linalg import _integer_rows, nullspace, rank, row_echelon, solve
 
 
 def naive_rank(rows):
@@ -90,6 +91,33 @@ def test_solve_detects_inconsistency(shape, seed):
         assert naive_rank(cols + [b]) == naive_rank(cols) + 1
     else:
         assert matvec(m, x) == b
+
+
+def per_row_lcm_rows(rows):
+    # the scaling before exactnum._common_denominator: each row times the
+    # lcm of its own denominators, entry by entry in Fractions
+    out = []
+    for row in rows:
+        fr = [Fraction(x) for x in row]
+        den = 1
+        for x in fr:
+            den = math.lcm(den, x.denominator)
+        out.append([int(x * den) for x in fr])
+    return out
+
+
+entries = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=30),
+    st.sampled_from([0, Fraction(0), Fraction(-7, 3)]),
+)
+
+
+@given(st.lists(st.lists(entries, max_size=6), max_size=5))
+def test_integer_rows_match_per_row_lcm_scaling(rows):
+    scaled = _integer_rows(rows)
+    assert scaled == per_row_lcm_rows(rows)
+    assert all(type(x) is int for row in scaled for x in row)
 
 
 def test_row_echelon_pivots_are_staircase():

@@ -85,6 +85,26 @@ class TestUrnFunctions:
             HLSUrn(("1/2", "1/2"))
 
 
+def positive_fractions(min_size, max_size):
+    return st.lists(st.fractions(min_value=0, max_value=3, max_denominator=40)
+                    .filter(bool), min_size=min_size, max_size=max_size)
+
+
+@given(positive_fractions(2, 5), st.integers(0, 3), positive_fractions(1, 4),
+       st.fractions(min_value=0, max_value=2, max_denominator=40).filter(bool))
+def test_integer_weights_match_per_entry_lcm_scaling(mass, zeros, ratios_in, slack):
+    # the weights before exactnum._common_denominator: each probability
+    # times the lcm of the denominators, by Fraction product and int()
+    p = tuple(x / sum(mass) for x in mass) + (Fraction(0),) * zeros
+    denom = math.lcm(*(x.denominator for x in p))
+    assert ConstantUrn(p)._weights == tuple(int(x * denom) for x in p)
+    alpha = tuple(x / (sum(ratios_in) + slack) for x in ratios_in)
+    urn = HLSUrn(alpha)
+    scale = math.lcm(*(a.denominator for a in alpha))
+    assert urn._scale == scale
+    assert urn._shares == tuple(int(a * scale) for a in (*alpha, 1 - sum(alpha)))
+
+
 class TestSimulate:
     def test_deterministic(self):
         state = UrnState((1, 2, 0))
