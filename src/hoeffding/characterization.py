@@ -260,7 +260,7 @@ class VerificationReport:
 
     @property
     def all_zero(self) -> bool:
-        return all(entry.value == 0 for entry in self.entries)
+        return self.first_nonzero is None
 
     @property
     def first_nonzero(self) -> Optional[VerificationEntry]:
