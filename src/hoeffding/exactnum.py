@@ -147,8 +147,9 @@ def beta_ratio(p: RationalLike, q: RationalLike, dp: int, dq: int) -> Rational:
     return num / rising_factorial(p + q, dp + dq)
 
 
-def _common_denominator(values: Iterable[Rational]) -> tuple[list[int], int]:
-    """Numerators of the values over their least common denominator."""
+def _common_denominator(values: Iterable[Union[Rational, int]]) -> tuple[list[int], int]:
+    """Numerators of the values over their least common denominator: the
+    one place where exact sums clear denominators to sum on integers."""
     values = list(values)
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
