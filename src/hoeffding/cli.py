@@ -299,6 +299,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     if args.n is None:
         raise ValueError("--samples needs --n (prefix length)")
+    # the exact law's own checks come before any draw
+    law = _compare_law(args, state) if args.compare_exact else None
     report: dict = {
         "schema_version": 1,
         "urn": args.urn,
@@ -312,7 +314,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         _emit(report, args.out)
         return 0
     cells = urnsim.empirical_cylinder(state, fn, args.n, args.samples, args.seed)
-    law = _compare_law(args, state) if args.compare_exact else None
     all_within = True
     for comp in compositions(args.n, len(state.counts)):
         cell = cells[comp]

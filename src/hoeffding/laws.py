@@ -495,11 +495,21 @@ def law_from_jsonable(obj: dict) -> ExchangeableLaw:
 
 
 def _read_json_file(path: str, noun: str):
-    """The JSON value in ``path``; an unreadable or malformed file raises a
-    ValueError that names the ``noun`` file."""
+    """The JSON value in ``path``; an unreadable or malformed file, or one
+    with a key repeated inside an object, raises a ValueError that names the
+    ``noun`` file."""
+
+    def without_repeats(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"{noun} file {path} repeats the key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=without_repeats)
     except OSError as exc:
         raise ValueError(f"cannot read {noun} file {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:

@@ -7,16 +7,21 @@ complement of the first proportion in fixed ratios.  A draw cuts a SHA-256
 counter uniform at the cumulative weights reduced by their gcd, which are
 the exact rational thresholds of the drawn probabilities, so a (seed,
 sample, step) triple always yields the same color on every platform and
-under any execution order.
+under any execution order.  A state's cut (those thresholds, their total
+and the counter's rejection limit) depends on the counts alone, so
+`empirical_cylinder` computes each state's cut once and shares it across
+all of its samples.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
+from itertools import accumulate
+from typing import NamedTuple, Sequence, Union
 
 from .exactnum import Composition, Rational, RationalLike, compositions, parse_rational
 from .exactnum import _common_denominator
@@ -52,8 +57,40 @@ class UrnState:
         object.__setattr__(self, "counts", counts)
 
 
+class _Cut(NamedTuple):
+    """The integers one draw from a state compares a counter value with."""
+
+    # W / g: the total weight W over the gcd g of the weights
+    bound: int
+    # the largest multiple of bound that is at most 2**256; counter values
+    # at or above it are redrawn, which keeps value % bound uniform
+    limit: int
+    # the cumulative reduced weights (w_1 + ... + w_j) / g
+    thresholds: tuple[int, ...]
+
+
+_SPACE = 1 << 256
+
+
+def _cut(weights: Sequence[int]) -> _Cut:
+    # the reduced w_j / W have lcm denominator W / g and numerators w_j / g
+    # over it: the exact rational thresholds of the drawn probabilities
+    g = math.gcd(*weights)
+    thresholds = tuple(accumulate(w // g for w in weights))
+    bound = thresholds[-1]
+    return _Cut(bound, _SPACE - _SPACE % bound, thresholds)
+
+
+class _Urn:
+    """The draw thresholds of an urn function, from its integer weights."""
+
+    def cut(self, counts: Sequence[int]) -> _Cut:
+        """The thresholds of the next draw from ``counts``."""
+        return _cut(self.weights(counts))
+
+
 @dataclass(frozen=True)
-class IdentityUrn:
+class IdentityUrn(_Urn):
     """Draw proportional to current counts (classical reinforcement)."""
 
     def weights(self, counts: Sequence[int]) -> Sequence[int]:
@@ -61,7 +98,7 @@ class IdentityUrn:
 
 
 @dataclass(frozen=True)
-class ConstantUrn:
+class ConstantUrn(_Urn):
     """Draw from a fixed distribution regardless of state: i.i.d. colors."""
 
     p: tuple[Rational, ...]
@@ -83,7 +120,7 @@ class ConstantUrn:
 
 
 @dataclass(frozen=True)
-class HLSUrn:
+class HLSUrn(_Urn):
     """First color reinforces itself with its own proportion y_1; the
     remaining colors share 1 - y_1 in the fixed ratios alpha_1, ...,
     alpha_{K-2}, 1 - sum(alpha)."""
@@ -116,32 +153,37 @@ class HLSUrn:
 UrnFunction = Union[IdentityUrn, ConstantUrn, HLSUrn]
 
 
-def _counter_uniform(seed: int, sample: int, step: int, bound: int) -> int:
-    # uniform in [0, bound) from a hash counter; rejection keeps it unbiased
-    if bound < 1:
-        raise ValueError("bound must be positive")
-    space = 1 << 256
-    limit = space - (space % bound)
+class _CutTable:
+    """An urn function that computes each state's cut once.  One table
+    serves every trajectory of one `empirical_cylinder` call, which visits
+    at most C(n + K - 1, K) states; a single trajectory never revisits a
+    state, so `simulate` alone keeps no table."""
+
+    def __init__(self, fn: UrnFunction) -> None:
+        self._fn = fn
+        self._cuts: dict[tuple[int, ...], _Cut] = {}
+
+    def cut(self, counts: Sequence[int]) -> _Cut:
+        key = tuple(counts)
+        try:
+            return self._cuts[key]
+        except KeyError:
+            made = self._cuts[key] = self._fn.cut(counts)
+            return made
+
+
+def _draw(cut: _Cut, prefix: str, step: int) -> int:
+    # the counter value for nonce 0, 1, ... until one falls below the
+    # rejection limit; its residue mod the bound picks the first color
+    # whose cumulative threshold exceeds it
+    bound, limit, thresholds = cut
     nonce = 0
     while True:
-        digest = hashlib.sha256(f"{seed}|{sample}|{step}|{nonce}".encode()).digest()
+        digest = hashlib.sha256(f"{prefix}{step}|{nonce}".encode()).digest()
         value = int.from_bytes(digest, "big")
         if value < limit:
-            return value % bound
+            return bisect_right(thresholds, value % bound)
         nonce += 1
-
-
-def _draw(weights: Sequence[int], seed: int, sample: int, step: int) -> int:
-    # the reduced w_j / W have lcm denominator W / g (g the gcd of the
-    # weights) and numerators w_j / g over it: the exact rational thresholds
-    g = math.gcd(*weights)
-    r = _counter_uniform(seed, sample, step, sum(weights) // g)
-    acc = 0
-    for j, w in enumerate(weights):
-        acc += w // g
-        if r < acc:
-            return j
-    raise AssertionError("unreachable: the weights sum to the bound")
 
 
 def simulate(
@@ -159,11 +201,12 @@ def simulate(
     if steps < 0:
         raise ValueError("steps must be non-negative")
     counts = list(initial.counts)
-    if (emitted := len(fn.weights(counts))) != len(counts):
+    if (emitted := len(fn.cut(counts).thresholds)) != len(counts):
         raise ValueError(f"urn function emits {emitted} colors, state has {len(counts)}")
+    prefix = f"{seed}|{sample_index}|"
     out = []
     for step in range(steps):
-        j = _draw(fn.weights(counts), seed, sample_index, step)
+        j = _draw(fn.cut(counts), prefix, step)
         out.append(j)
         counts[j] += 1
     return out
@@ -189,15 +232,13 @@ def empirical_cylinder(
         raise ValueError("samples must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
+    table = _CutTable(fn)
     colors = len(initial.counts)
-    tallies: dict[Composition, int] = {}
+    tallies: dict[tuple[int, ...], int] = {}
     for s in range(samples):
-        seq = simulate(initial, fn, n, seed, sample_index=s)
-        counts = [0] * colors
-        for j in seq:
-            counts[j] += 1
-        comp = Composition(counts)
-        tallies[comp] = tallies.get(comp, 0) + 1
+        seq = simulate(initial, table, n, seed, sample_index=s)
+        key = tuple([seq.count(j) for j in range(colors)])
+        tallies[key] = tallies.get(key, 0) + 1
     out = {}
     for comp in compositions(n, colors):
         count = tallies.get(comp, 0)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from hoeffding import characterization, cli, laws
+from hoeffding import characterization, cli, laws, urnsim
 from hoeffding.cli import main
 from hoeffding.decomp import SymmetricStatistic, table_to_jsonable
 from hoeffding.laws import law_to_jsonable, parse_law
@@ -401,6 +401,21 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out)["law"] == "hls:K=3,pi=1,nu=2,alpha=1/3"
 
+    @pytest.mark.parametrize("argv, message", [
+        ("--urn polya --initial 0,2,3", "Polya weights must be strictly positive"),
+        ("--urn constant --p 0,1/3,2/3", "IID probabilities must be strictly positive"),
+        ("--urn hls --alpha 1/2 --initial 0,1,0", "HLS needs pi > 0 and nu > 0"),
+    ], ids=["polya", "constant", "hls"])
+    def test_compared_law_is_checked_before_drawing(self, monkeypatch, argv, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("samples drawn before the compared law was checked")
+
+        monkeypatch.setattr(urnsim, "empirical_cylinder", refuse)
+        code, out, err = run_cli(
+            ["simulate", *argv.split(), "--samples", "50", "--n", "2",
+             "--compare-exact", "--seed", "1"])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_bad_nu_split(self):
         code, _, err = run_cli(
             ["simulate", "--urn", "hls", "--pi", "1", "--nu", "2",
@@ -488,6 +503,22 @@ class TestErrorChannel:
         code, out, err = run_cli(
             ["decompose", "--law", "iid:p=1/2,1/2", "--statistic", str(path)])
         assert (code, out, err) == (2, "", message)
+
+    @pytest.mark.parametrize("text, argv, noun, key", [
+        ('{"family": "iid", "p": ["1/2", "1/2"], "p": ["1/3", "2/3"]}',
+         ["law-check", "--n-max", "2", "--law"], "law", "p"),
+        ('{"order": 1, "K": 2, "values": ['
+         '{"composition": [1, 0], "value": "1/2", "value": 7}, '
+         '{"composition": [0, 1], "value": 0}]}',
+         ["decompose", "--law", "iid:p=1/2,1/2", "--statistic"], "statistic", "value"),
+    ], ids=["law", "statistic"])
+    def test_repeated_json_key_is_an_input_error(self, tmp_path, text, argv, noun, key):
+        # json.load alone would keep the last value of a repeated key
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, out, err = run_cli([*argv, str(path)])
+        assert (code, out, err) == (
+            2, "", f"error: {noun} file {path} repeats the key {key!r}\n")
 
     def test_statistic_file_rejects_unknown_fields(self, tmp_path):
         path = statistic_file(tmp_path)

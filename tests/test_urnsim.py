@@ -1,16 +1,20 @@
 """Urn simulation: state validation, the integer weights of the three urn
-functions, the integer draw against exact rational thresholds, determinism
-of the hash-counter draws, and frequency agreement with exact class
-probabilities at loose Monte Carlo tolerances."""
+functions, the integer draw against exact rational thresholds, the draw
+with per-state cuts against a copy of the draw that rebuilt them each step,
+determinism of the hash-counter draws, and frequency agreement with exact
+class probabilities at loose Monte Carlo tolerances."""
 
+import hashlib
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hoeffding.exactnum import Composition, compositions
+from hoeffding import urnsim
+from hoeffding.exactnum import compositions
 from hoeffding.laws import class_prob, cylinder_prob, parse_law
 from hoeffding.urnsim import (
     ConstantUrn,
@@ -18,7 +22,7 @@ from hoeffding.urnsim import (
     HLSUrn,
     IdentityUrn,
     UrnState,
-    _counter_uniform,
+    _cut,
     _draw,
     empirical_cylinder,
     simulate,
@@ -132,13 +136,54 @@ class TestSimulate:
             simulate(UrnState((1, 1)), IdentityUrn(), -1, seed=0)
 
 
+# The draw that rebuilt the weights, their gcd, the cumulative cut and the
+# rejection limit at every step: the reference for `_draw` and `simulate`.
+
+def reference_counter_uniform(seed, sample, step, bound, nonces=None):
+    # uniform in [0, bound) from a hash counter; rejection keeps it unbiased
+    if bound < 1:
+        raise ValueError("bound must be positive")
+    space = 1 << 256
+    limit = space - (space % bound)
+    nonce = 0
+    while True:
+        digest = hashlib.sha256(f"{seed}|{sample}|{step}|{nonce}".encode()).digest()
+        value = int.from_bytes(digest, "big")
+        if value < limit:
+            if nonces is not None:
+                nonces.append(nonce)
+            return value % bound
+        nonce += 1
+
+
+def reference_draw(weights, seed, sample, step, nonces=None):
+    g = math.gcd(*weights)
+    r = reference_counter_uniform(seed, sample, step, sum(weights) // g, nonces)
+    acc = 0
+    for j, w in enumerate(weights):
+        acc += w // g
+        if r < acc:
+            return j
+    raise AssertionError("unreachable: the weights sum to the bound")
+
+
+def reference_simulate(initial, fn, steps, seed, sample_index=0, nonces=None):
+    counts = list(initial.counts)
+    out = []
+    for step in range(steps):
+        j = reference_draw(fn.weights(counts), seed, sample_index, step, nonces)
+        out.append(j)
+        counts[j] += 1
+    return out
+
+
 def fraction_draw(weights, seed, sample, step):
     # the draw before integer weights: probabilities w_j / W as reduced
     # fractions, thresholds over the lcm of their denominators
     total = sum(weights)
     probs = [Fraction(w, total) for w in weights]
     denom = math.lcm(*(p.denominator for p in probs))
-    r = _counter_uniform(seed, sample, step, denom)
+    r = reference_counter_uniform(seed, sample, step, denom)
     acc = 0
     for j, p in enumerate(probs):
         acc += p.numerator * (denom // p.denominator)
@@ -158,8 +203,77 @@ def test_integer_draw_matches_fraction_thresholds(weights, scale, seed, sample, 
     # zeros and a common factor in the weights must not move any draw
     weights = [w * scale for w in weights]
     expected = fraction_draw(weights, seed, sample, step)
-    assert _draw(weights, seed, sample, step) == expected
+    assert _draw(_cut(weights), f"{seed}|{sample}|", step) == expected
     assert weights[expected] > 0
+
+
+@st.composite
+def urns(draw):
+    """An initial state and an urn function of one of the three families,
+    with as many colors as the state."""
+    family = draw(st.sampled_from(("identity", "constant", "hls")))
+    if family == "hls":
+        ratios_in = draw(positive_fractions(1, 3))
+        slack = draw(st.fractions(min_value=0, max_value=2, max_denominator=40)
+                     .filter(bool))
+        fn = HLSUrn(tuple(x / (sum(ratios_in) + slack) for x in ratios_in))
+        colors = len(ratios_in) + 2
+    elif family == "constant":
+        mass = draw(positive_fractions(2, 4))
+        zeros = draw(st.integers(0, 2))
+        p = tuple(x / sum(mass) for x in mass) + (Fraction(0),) * zeros
+        fn = ConstantUrn(draw(st.permutations(p)))
+        colors = len(p)
+    else:
+        fn = IdentityUrn()
+        colors = draw(st.integers(2, 5))
+    counts = draw(st.lists(st.integers(0, 6), min_size=colors, max_size=colors)
+                  .filter(any))
+    return UrnState(counts), fn
+
+
+class TestDrawMatchesReference:
+    @given(urns(), st.integers(0, 2**32), st.integers(0, 10**6), st.integers(0, 12))
+    def test_simulate(self, urn, seed, sample, steps):
+        state, fn = urn
+        assert simulate(state, fn, steps, seed, sample) \
+            == reference_simulate(state, fn, steps, seed, sample)
+
+    @given(urns(), st.integers(0, 2**32), st.integers(1, 4), st.integers(1, 30))
+    def test_empirical_cylinder_counts(self, urn, seed, n, samples):
+        state, fn = urn
+        tallies = {}
+        for s in range(samples):
+            seq = reference_simulate(state, fn, n, seed, s)
+            key = tuple(seq.count(j) for j in range(len(state.counts)))
+            tallies[key] = tallies.get(key, 0) + 1
+        table = empirical_cylinder(state, fn, n, samples, seed)
+        assert {comp: cell.count for comp, cell in table.items() if cell.count} \
+            == tallies
+
+    @pytest.mark.parametrize("counts", [(2**255, 1), (2**254, 2**254 + 1)])
+    def test_rejected_counter_values_are_redrawn(self, monkeypatch, counts):
+        # the bound W = 2**255 + 1 is also the rejection limit, so about
+        # half of all counter values are redrawn with the next nonce
+        state = UrnState(counts)
+        cut = _cut(counts)
+        assert cut.bound == cut.limit == 2**255 + 1
+        hashed = []
+
+        def recording(data):
+            hashed.append(data)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(urnsim, "hashlib", SimpleNamespace(sha256=recording))
+        got = [simulate(state, IdentityUrn(), 3, 5, s) for s in range(12)]
+        nonces = []
+        assert got == [reference_simulate(state, IdentityUrn(), 3, 5, s, nonces)
+                       for s in range(12)]
+        assert max(nonces) >= 1
+        assert hashed == [
+            f"5|{s}|{step}|{nonce}".encode()
+            for s in range(12) for step in range(3)
+            for nonce in range(nonces[3 * s + step] + 1)]
 
 
 class TestWithinFourSigma:
@@ -191,6 +305,22 @@ class TestEmpiricalCylinder:
         for cell in table.values():
             assert isinstance(cell, EmpiricalCell)
             assert cell.estimate == Fraction(cell.count, 200)
+
+    def test_each_state_is_cut_once(self):
+        # one table serves every sample; a lone trajectory asks its urn
+        # function at every step
+        asked = []
+
+        class Recording:
+            def cut(self, counts):
+                asked.append(tuple(counts))
+                return IdentityUrn().cut(counts)
+
+        empirical_cylinder(UrnState((1, 1, 1)), Recording(), 4, 500, seed=3)
+        assert len(asked) == len(set(asked)) == math.comb(4 + 3 - 1, 3)
+        asked.clear()
+        simulate(UrnState((1, 2, 0)), Recording(), 6, seed=3)
+        assert len(asked) == 7
 
     def test_validation(self):
         with pytest.raises(ValueError):
