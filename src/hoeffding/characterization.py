@@ -16,10 +16,11 @@ collapse to zero.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from operator import add, sub
 from typing import Callable, Iterator, Optional, Sequence
@@ -252,11 +253,24 @@ class VerificationEntry:
         }
 
 
+# (n, u, z) and the criterion values of that group, one per m in
+# xi_index_set(n, K), in that order
+_Group = tuple[int, int, Composition, tuple[Rational, ...]]
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     law_spec: str
     n_max: int
-    entries: tuple[VerificationEntry, ...]
+    groups: tuple[_Group, ...]
+
+    @cached_property
+    def entries(self) -> tuple[VerificationEntry, ...]:
+        return tuple(
+            VerificationEntry(n, u, z, tuple(m), v)
+            for n, u, z, values in self.groups
+            for m, v in zip(xi_index_set(n, len(z)), values)
+        )
 
     @property
     def all_zero(self) -> bool:
@@ -264,9 +278,10 @@ class VerificationReport:
 
     @property
     def first_nonzero(self) -> Optional[VerificationEntry]:
-        for entry in self.entries:
-            if entry.value != 0:
-                return entry
+        for n, u, z, values in self.groups:
+            for m, v in zip(xi_index_set(n, len(z)), values):
+                if v:
+                    return VerificationEntry(n, u, z, tuple(m), v)
         return None
 
     def to_jsonable(self, include_zeros: bool = True) -> dict:
@@ -282,6 +297,57 @@ class VerificationReport:
             ],
             "first_nonzero": first.to_jsonable() if first is not None else None,
         }
+
+
+# The verify report as json.dumps(indent=2) lays it out, written straight
+# from the group values; VerificationReport.to_jsonable is its reference.
+
+
+@lru_cache(maxsize=None)
+def _list_json(items: tuple[int, ...], pad: str) -> str:
+    # a list of integers whose closing bracket sits at pad
+    inner = f",\n{pad}  ".join(map(str, items))
+    return f"[\n{pad}  {inner}\n{pad}]"
+
+
+def _entry_head(n: int, u: int, z: Composition, pad: str) -> str:
+    # an entry whose braces sit at pad, up to its m list
+    return (f'{{\n{pad}  "n": {n},\n{pad}  "u": {u},\n'
+            f'{pad}  "z": {_list_json(z, pad + "  ")},\n{pad}  "m": ')
+
+
+def _m_fragment(m: tuple[int, ...], pad: str) -> str:
+    # an entry's m list and key "value", up to the value's digits
+    return f'{_list_json(m, pad + "  ")},\n{pad}  "value": "'
+
+
+@lru_cache(maxsize=None)
+def _m_fragments(n: int, colors: int) -> tuple[str, ...]:
+    return tuple(_m_fragment(m, "    ") for m in xi_index_set(n, colors))
+
+
+def _report_chunks(report: VerificationReport, include_zeros: bool = True) -> Iterator[str]:
+    """json.dumps(report.to_jsonable(include_zeros), indent=2) + "\n", in
+    one chunk per (n, u, z) group that has entries to write, plus the
+    report's head and tail.  No entry object or dict is built."""
+    first = report.first_nonzero
+    yield (f'{{\n  "schema_version": 1,\n  "law": {json.dumps(report.law_spec)},\n'
+           f'  "n_max": {report.n_max},\n'
+           f'  "all_zero": {"true" if first is None else "false"},\n  "entries": [')
+    lead = "\n    "
+    for n, u, z, values in report.groups:
+        head = _entry_head(n, u, z, "    ")
+        body = [f'{head}{m}{v.numerator}/{v.denominator}"\n    }}'
+                for m, v in zip(_m_fragments(n, len(z)), values) if include_zeros or v]
+        if body:
+            yield lead + ",\n    ".join(body)
+            lead = ",\n    "
+    tail = "]" if lead == "\n    " else "\n  ]"
+    if first is None:
+        yield f'{tail},\n  "first_nonzero": null\n}}\n'
+    else:
+        yield (f'{tail},\n  "first_nonzero": {_entry_head(first.n, first.u, first.z, "  ")}'
+               f'{_m_fragment(first.m, "  ")}{format_rational(first.value)}"\n  }}\n}}\n')
 
 
 @lru_cache(maxsize=None)
@@ -302,7 +368,12 @@ def _monomials(
     return pos, below
 
 
-def _group_values(table: _CylinderTable, n: int, u: int, z: Composition) -> list[Rational]:
+_ZERO = Fraction(0)
+
+
+def _group_values(
+    table: _CylinderTable, n: int, u: int, z: Composition
+) -> tuple[Rational, ...]:
     """characterization_sum(law, n, u, z, m) for every m in
     xi_index_set(n, K), in that order, as the coefficients of one
     polynomial in r = K-2 variables.
@@ -321,7 +392,8 @@ def _group_values(table: _CylinderTable, n: int, u: int, z: Composition) -> list
     k+q has order n, so every x^mid is kept.  Weights and coefficients are
     integers over one denominator, the lcm of the cylinder values'
     denominators times the lcm of the keys' P(k+q) numerators: the exact
-    sum is regrouped, never rounded, and each value is reduced at the end.
+    sum is regrouped, never rounded, and each value is reduced at the end;
+    every zero value is the one shared _ZERO.
     """
     head = len(z) - 1
     allocations = [
@@ -357,7 +429,7 @@ def _group_values(table: _CylinderTable, n: int, u: int, z: Composition) -> list
         for j, num in parts[a]:
             coef[j] += num
     den = coef_den * key_den
-    return [Fraction(c, den) for c in coef]
+    return tuple(Fraction(c, den) if c else _ZERO for c in coef)
 
 
 def verify_hd(law: ExchangeableLaw, n_max: int) -> VerificationReport:
@@ -373,14 +445,13 @@ def verify_hd(law: ExchangeableLaw, n_max: int) -> VerificationReport:
     if n_max < 2:
         raise ValueError("verify_hd needs n_max >= 2")
     table = _CylinderTable(law)
-    entries = tuple(
-        VerificationEntry(n, u, z, tuple(m), v)
+    groups = tuple(
+        (n, u, z, _group_values(table, n, u, z))
         for n in range(2, n_max + 1)
         for u in range(2, n + 1)
         for z in compositions(n - 1, law.K)
-        for m, v in zip(xi_index_set(n, law.K), _group_values(table, n, u, z))
     )
-    return VerificationReport(format_law(law), n_max, entries)
+    return VerificationReport(format_law(law), n_max, groups)
 
 
 def sommedentro_sum(

@@ -18,7 +18,7 @@ import sys
 import tempfile
 import traceback
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import characterization, decomp, laws, urnsim
 from .exactnum import compositions, format_rational, parse_rational
@@ -46,12 +46,13 @@ def _unwritable(out: str, exc: OSError) -> ValueError:
     return ValueError(f"cannot write {out}: {exc.strerror or exc}")
 
 
-def _write(text: str, out: Optional[str]) -> None:
-    """Write to stdout, or to the file out through a temporary file in the
-    same directory renamed over it, so a failed run never leaves a
-    truncated report.  A path that cannot be opened is an input error."""
+def _write(chunks: Iterable[str], out: Optional[str]) -> None:
+    """Write the chunks in turn to stdout, or to the file out through a
+    temporary file in the same directory renamed over it, so a failed run
+    never leaves a truncated report.  A path that cannot be opened is an
+    input error."""
     if not out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     if os.path.exists(out) and not os.path.isfile(out):
         # a pipe or device (say /dev/stdout) cannot be renamed over
@@ -60,7 +61,7 @@ def _write(text: str, out: Optional[str]) -> None:
         except OSError as exc:
             raise _unwritable(out, exc) from exc
         with fh:
-            fh.write(text)
+            fh.writelines(chunks)
         return
     try:
         fd, tmp = tempfile.mkstemp(
@@ -70,7 +71,7 @@ def _write(text: str, out: Optional[str]) -> None:
         raise _unwritable(out, exc) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # the mode open() would have given
@@ -81,14 +82,15 @@ def _write(text: str, out: Optional[str]) -> None:
 
 
 def _emit(obj: dict, out: Optional[str]) -> None:
-    _write(json.dumps(obj, indent=2) + "\n", out)
+    _write([json.dumps(obj, indent=2) + "\n"], out)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
     report = characterization.verify_hd(_load_law(args.law), args.n_max)
-    _emit(report.to_jsonable(include_zeros=args.include_zeros), args.out)
+    # the report as _emit(report.to_jsonable(...)) writes it, streamed
+    _write(characterization._report_chunks(report, args.include_zeros), args.out)
     return 0 if report.all_zero else 1
 
 
@@ -294,7 +296,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     if args.steps is not None:
         seq = urnsim.simulate(state, fn, args.steps, args.seed)
-        _write("".join(f"{j}\n" for j in seq), args.out)
+        _write(["".join(f"{j}\n" for j in seq)], args.out)
         return 0
 
     if args.n is None:

@@ -188,11 +188,17 @@ def class_size(i: Sequence[int]) -> int:
 
 
 def parse_rational(value: RationalLike) -> Rational:
-    """Parse a "num/den" or integer string; numbers pass through exactly."""
+    """Parse a "num/den" or integer string; numbers pass through exactly.
+
+    Exponent forms such as "1e-5" are refused: Fraction would expand a
+    short exponent into an integer of unbounded size."""
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
+    text = str(value).strip()
+    if "e" in text or "E" in text:
+        raise ValueError(f"cannot parse rational from {value!r}: exponent forms are not accepted")
     try:
-        return Fraction(str(value).strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse rational from {value!r}") from exc
 

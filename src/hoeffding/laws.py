@@ -22,7 +22,7 @@ Colors are indexed 0..K-1 throughout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import ClassVar, Optional, Sequence, Union
@@ -134,10 +134,38 @@ def _rational_vector(values: Sequence[RationalLike]) -> tuple[Rational, ...]:
     return tuple(parse_rational(v) for v in values)
 
 
-def _power_product(p: Sequence[Rational], i: Sequence[int]) -> Rational:
+class _Factors(dict):
+    """fn(*args, *key) per key, each computed on its first lookup: a law's
+    cache of one factor of its cylinder formula.  Laws keep it in a field
+    outside ==, hash and repr, so a filled cache changes nothing but speed."""
+
+    def __init__(self, fn, *args) -> None:
+        super().__init__()
+        self.fn, self.args = fn, args
+
+    def __missing__(self, key: tuple) -> Rational:
+        value = self[key] = self.fn(*self.args, *key)
+        return value
+
+
+def _power(bases: Sequence[Rational], t: int, e: int) -> Rational:
+    return bases[t] ** e
+
+
+def _rising(bases: Sequence[Rational], t: int, e: int) -> Rational:
+    return rising_factorial(bases[t], e)
+
+
+def _beta_moment(pi: Rational, nu: Rational, a: int, n: int) -> Rational:
+    # E[theta^a (1 - theta)^(n - a)] for theta ~ Beta(pi, nu)
+    return beta_ratio(pi, nu, a, n - a)
+
+
+def _product(factors: _Factors, i: Sequence[int]) -> Rational:
+    """prod_t factors[t, i_t]."""
     out = Fraction(1)
-    for pj, ij in zip(p, i):
-        out *= pj ** ij
+    for key in enumerate(i):
+        out *= factors[key]
     return out
 
 
@@ -149,6 +177,8 @@ class IID:
     params: ClassVar[tuple[_Rational, ...]] = (_Vector("p"),)
 
     p: tuple[Rational, ...]
+    # p_t^e per (t, e)
+    _powers: _Factors = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = _rational_vector(self.p)
@@ -159,13 +189,14 @@ class IID:
             raise ValueError("IID probabilities must be strictly positive")
         if sum(p) != 1:
             raise ValueError("IID probabilities must sum to 1")
+        object.__setattr__(self, "_powers", _Factors(_power, p))
 
     @property
     def K(self) -> int:
         return len(self.p)
 
     def cylinder(self, i: Composition) -> Rational:
-        return _power_product(self.p, i)
+        return _product(self._powers, i)
 
 
 @dataclass(frozen=True)
@@ -176,6 +207,8 @@ class Polya:
     params: ClassVar[tuple[_Rational, ...]] = (_Vector("alpha"),)
 
     alpha: tuple[Rational, ...]
+    # rising(alpha_j, e) per (j, e) and rising(sum alpha, N) per (K, N)
+    _risings: _Factors = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         alpha = _rational_vector(self.alpha)
@@ -184,16 +217,14 @@ class Polya:
             raise ValueError("Polya needs at least two colors")
         if any(x <= 0 for x in alpha):
             raise ValueError("Polya weights must be strictly positive")
+        object.__setattr__(self, "_risings", _Factors(_rising, (*alpha, sum(alpha))))
 
     @property
     def K(self) -> int:
         return len(self.alpha)
 
     def cylinder(self, i: Composition) -> Rational:
-        out = Fraction(1)
-        for aj, ij in zip(self.alpha, i):
-            out *= rising_factorial(aj, ij)
-        return out / rising_factorial(sum(self.alpha), i.order)
+        return _product(self._risings, i) / self._risings[self.K, i.order]
 
 
 @dataclass(frozen=True)
@@ -213,6 +244,10 @@ class HLS:
     pi: Rational
     nu: Rational
     alpha: tuple[Rational, ...]
+    # the Beta moment per (i_1, N), and share_t^e per (t, e) for the shares
+    # alpha_1, ..., alpha_{K-2}, 1 - sum(alpha) of colors 2..K
+    _moments: _Factors = field(init=False, repr=False, compare=False)
+    _powers: _Factors = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.K, int) or self.K < 3:
@@ -229,11 +264,11 @@ class HLS:
             raise ValueError("HLS alpha entries must be strictly positive")
         if sum(alpha) >= 1:
             raise ValueError("HLS needs sum(alpha) < 1")
+        object.__setattr__(self, "_moments", _Factors(_beta_moment, self.pi, self.nu))
+        object.__setattr__(self, "_powers", _Factors(_power, (*alpha, 1 - sum(alpha))))
 
     def cylinder(self, i: Composition) -> Rational:
-        shares = (*self.alpha, 1 - sum(self.alpha))
-        theta_moment = beta_ratio(self.pi, self.nu, i[0], i.order - i[0])
-        return theta_moment * _power_product(shares, i[1:])
+        return self._moments[i[0], i.order] * _product(self._powers, i[1:])
 
 
 @dataclass(frozen=True)
@@ -246,6 +281,8 @@ class MixtureIID:
 
     weights: tuple[Rational, ...]
     components: tuple[tuple[Rational, ...], ...]
+    # p_t^e per (t, e), one cache per component
+    _powers: tuple[_Factors, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         weights = _rational_vector(self.weights)
@@ -266,13 +303,14 @@ class MixtureIID:
                 raise ValueError("MixtureIID components must share one alphabet")
             if len(comp) < 2 or any(x <= 0 for x in comp) or sum(comp) != 1:
                 raise ValueError("each MixtureIID component must be a valid IID vector")
+        object.__setattr__(self, "_powers", tuple(_Factors(_power, p) for p in components))
 
     @property
     def K(self) -> int:
         return len(self.components[0])
 
     def cylinder(self, i: Composition) -> Rational:
-        terms = (w * _power_product(p, i) for w, p in zip(self.weights, self.components))
+        terms = (w * _product(powers, i) for w, powers in zip(self.weights, self._powers))
         return sum(terms, Fraction(0))
 
 

@@ -103,6 +103,8 @@ class ConstantUrn(_Urn):
 
     p: tuple[Rational, ...]
     _weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # the one cut of every state, fixed with the weights
+    _fixed_cut: _Cut = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = tuple(parse_rational(x) for x in self.p)
@@ -113,10 +115,15 @@ class ConstantUrn(_Urn):
         if sum(p) != 1:
             raise ValueError("probabilities must sum to 1 exactly")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_weights", tuple(_common_denominator(p)[0]))
+        weights = tuple(_common_denominator(p)[0])
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_fixed_cut", _cut(weights))
 
     def weights(self, counts: Sequence[int]) -> Sequence[int]:
         return self._weights
+
+    def cut(self, counts: Sequence[int]) -> _Cut:
+        return self._fixed_cut
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ import json
 import multiprocessing.process
 import os
 import stat
+import subprocess
+import sys
 import threading
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from hoeffding import characterization, cli, laws, urnsim
 from hoeffding.cli import main
 from hoeffding.decomp import SymmetricStatistic, table_to_jsonable
 from hoeffding.laws import law_to_jsonable, parse_law
+from test_golden import LAWS, VERIFY_DEEP_GOLDEN
 
 def statistic_file(tmp_path):
     stat = SymmetricStatistic.from_function(
@@ -106,6 +109,27 @@ class TestVerify:
         assert out_path.read_text() == stdout
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
+    @pytest.mark.parametrize("include_zeros", ["true", "false"])
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, include_zeros):
+        out_path = tmp_path / "report.json"
+        argv = ["verify", "--law", LAWS["mixture"], "--n-max", "4",
+                "--include-zeros", include_zeros]
+        code, stdout, _ = run_cli(argv)
+        assert run_cli(argv + ["--out", str(out_path)]) == (code, "", "")
+        assert out_path.read_bytes() == stdout.encode()
+
+    def test_report_is_written_without_entry_objects(self, monkeypatch):
+        argv = ["verify", "--law", LAWS["mixture"], "--n-max", "3"]
+        expected = run_cli(argv)
+
+        def refuse(*args):
+            raise AssertionError("the CLI built the report's entries or dict tree")
+
+        report_cls = characterization.VerificationReport
+        monkeypatch.setattr(report_cls, "entries", property(refuse))
+        monkeypatch.setattr(report_cls, "to_jsonable", refuse)
+        assert run_cli(argv) == expected
+
     def test_failed_write_keeps_the_old_report(self, tmp_path, monkeypatch):
         out_path = tmp_path / "report.json"
         out_path.write_text("old report")
@@ -155,6 +179,20 @@ class TestVerify:
 
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
         assert run_cli(argv + ["--jobs", "2"]) == expected
+
+
+# the six golden laws at --n-max 3 and the deeper golden sweeps: an empty
+# entries list (zeros dropped), first_nonzero null, a nonzero witness, K = 5
+WRITER_CASES = [(spec, 3) for spec in LAWS.values()] + [
+    (spec, n_max) for spec, n_max, _ in VERIFY_DEEP_GOLDEN.values()]
+
+
+@pytest.mark.parametrize("include_zeros", [True, False])
+@pytest.mark.parametrize("spec, n_max", WRITER_CASES)
+def test_report_writer_matches_json_dumps(spec, n_max, include_zeros):
+    report = characterization.verify_hd(parse_law(spec), n_max)
+    expected = json.dumps(report.to_jsonable(include_zeros), indent=2) + "\n"
+    assert "".join(characterization._report_chunks(report, include_zeros)) == expected
 
 
 class TestOracle:
@@ -444,6 +482,16 @@ class TestLawCheck:
 
 
 class TestErrorChannel:
+    def test_exponent_forms_are_refused_before_any_work(self):
+        # Fraction would expand the exponent into a 10^8-digit integer
+        src = os.path.dirname(os.path.dirname(os.path.abspath(characterization.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hoeffding", "law-check",
+             "--law", "iid:p=1e-100000000,1", "--n-max", "1"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "exponent" in proc.stderr
+
     @pytest.mark.parametrize("obj", [
         {"family": "iid"},
         {"family": "iid", "p": 5},

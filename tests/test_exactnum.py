@@ -271,6 +271,11 @@ class TestRationalStrings:
         with pytest.raises(ValueError):
             parse_rational("one half")
 
+    @pytest.mark.parametrize("text", ["1e3", "5E-1", " 1e-100000000 ", "2.5e0", "1/2e1"])
+    def test_exponent_forms_are_refused(self, text):
+        with pytest.raises(ValueError, match="exponent"):
+            parse_rational(text)
+
     def test_format_always_shows_denominator(self):
         assert format_rational(Fraction(1, 3)) == "1/3"
         assert format_rational(2) == "2/1"

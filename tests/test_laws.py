@@ -8,6 +8,7 @@ path touches rising factorials.
 
 import json
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -333,6 +334,74 @@ class TestSpecStrings:
         bad.write_text("{not json")
         with pytest.raises(ValueError):
             load_law_file(str(bad))
+
+
+def rising(x, k):
+    out = Fraction(1)
+    for t in range(k):
+        out *= x + t
+    return out
+
+
+def powers(p, i):
+    out = Fraction(1)
+    for pt, e in zip(p, i):
+        out *= pt ** e
+    return out
+
+
+def closed_form(law, i):
+    """P_n(i) from the family's formula, with no cached factor."""
+    n = sum(i)
+    if isinstance(law, IID):
+        return powers(law.p, i)
+    if isinstance(law, Polya):
+        num = Fraction(1)
+        for a, e in zip(law.alpha, i):
+            num *= rising(a, e)
+        return num / rising(sum(law.alpha), n)
+    if isinstance(law, HLS):
+        moment = rising(law.pi, i[0]) * rising(law.nu, n - i[0]) / rising(law.pi + law.nu, n)
+        return moment * powers((*law.alpha, 1 - sum(law.alpha)), i[1:])
+    return sum(w * powers(p, i) for w, p in zip(law.weights, law.components))
+
+
+MEMO_SPECS = [
+    "iid:p=1/2,1/3,1/6",
+    "polya:alpha=1/2,2,3,5/3",
+    "hls:K=3,pi=3/2,nu=5/2,alpha=1/3",
+    "hls:K=4,pi=1,nu=2,alpha=1/4,1/4",
+    "mixture:w=1/3,2/3;p1=2/5,1/5,1/5,1/5;p2=1/5,1/5,1/5,2/5",
+]
+
+
+class TestCylinderMemo:
+    """Each family caches the factors of its formula on the instance; the
+    values must not depend on what the cache already holds."""
+
+    @pytest.mark.parametrize("spec", MEMO_SPECS)
+    def test_values_do_not_depend_on_the_fill_order(self, spec):
+        colors = parse_law(spec).K
+        comps = [i for n in range(9) for i in compositions(n, colors)]
+        shuffled = comps[:]
+        random.Random(spec).shuffle(shuffled)
+        filled = parse_law(spec)
+        from_filled = {i: filled.cylinder(i) for i in shuffled}
+        for i in comps:
+            expect = closed_form(filled, i)
+            assert parse_law(spec).cylinder(i) == expect, i
+            assert from_filled[i] == expect, i
+            assert filled.cylinder(i) == expect, i
+
+    @pytest.mark.parametrize("spec", MEMO_SPECS)
+    def test_a_filled_memo_is_not_part_of_the_law(self, spec):
+        fresh, filled = parse_law(spec), parse_law(spec)
+        for i in compositions(6, filled.K):
+            filled.cylinder(i)
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh)
+        assert format_law(filled) == format_law(fresh) == spec
+        assert law_to_jsonable(filled) == law_to_jsonable(fresh)
 
 
 def test_cylinder_prob_accepts_plain_tuples_and_compositions():

@@ -60,6 +60,11 @@ class TestUrnFunctions:
             assert ratios(urn.weights(counts)) == (
                 Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
 
+    def test_constant_cut_is_fixed_once(self):
+        urn = ConstantUrn(("1/6", "1/3", "1/2"))
+        assert urn.cut((1, 1, 1)) is urn.cut((9, 0, 4))
+        assert urn.cut((1, 1, 1)) == IdentityUrn().cut(urn.weights((1, 1, 1)))
+
     def test_constant_validation(self):
         with pytest.raises(ValueError):
             ConstantUrn(("1/2",))
