@@ -110,11 +110,12 @@ class TestVerify:
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
     @pytest.mark.parametrize("include_zeros", ["true", "false"])
-    def test_out_file_holds_the_stdout_bytes(self, tmp_path, include_zeros):
+    def test_out_file_holds_the_stdout_bytes_of_a_witness(self, tmp_path, include_zeros):
         out_path = tmp_path / "report.json"
         argv = ["verify", "--law", LAWS["mixture"], "--n-max", "4",
                 "--include-zeros", include_zeros]
         code, stdout, _ = run_cli(argv)
+        assert code == 1
         assert run_cli(argv + ["--out", str(out_path)]) == (code, "", "")
         assert out_path.read_bytes() == stdout.encode()
 
