@@ -41,7 +41,6 @@ from .exactnum import (
 )
 from .laws import (
     ExchangeableLaw,
-    _CylinderTable,
     conditional_block_prob,
     cylinder_prob,
     format_law,
@@ -372,7 +371,7 @@ _ZERO = Fraction(0)
 
 
 def _group_values(
-    table: _CylinderTable, n: int, u: int, z: Composition
+    law: ExchangeableLaw, n: int, u: int, z: Composition
 ) -> tuple[Rational, ...]:
     """characterization_sum(law, n, u, z, m) for every m in
     xi_index_set(n, K), in that order, as the coefficients of one
@@ -395,12 +394,13 @@ def _group_values(
     sum is regrouped, never rounded, and each value is reduced at the end;
     every zero value is the one shared _ZERO.
     """
+    cylinder = law.cylinder
     head = len(z) - 1
     allocations = [
         (*q, u - a) for a in range(u + 1) for q in compositions(a, head)
     ]
     # multinomial(u, q) * P(z+q) as integers over one denominator
-    nums, coef_den = _common_denominator(table[tuple(map(add, z, q))] for q in allocations)
+    nums, coef_den = _common_denominator(cylinder(tuple(map(add, z, q))) for q in allocations)
     coefs = [multinomial(u, q[:head]) * num for q, num in zip(allocations, nums)]
     weights: dict[tuple[int, ...], int] = {}
     for k in coherent_splits(n - 1, n - u, z):
@@ -409,7 +409,7 @@ def _group_values(
         for q, coef in zip(allocations, coefs):
             kq = tuple(map(add, ka_full, q))
             weights[kq] = weights.get(kq, 0) + outer * coef
-    keys = [(kq, w, table[kq]) for kq, w in weights.items() if w]
+    keys = [(kq, w, cylinder(kq)) for kq, w in weights.items() if w]
     key_den = math.lcm(*(p.numerator for _, _, p in keys))
     pos, below = _monomials(n, len(z))
     # P_a as (position of x^mid, integer coefficient) pairs, one list per a
@@ -436,17 +436,16 @@ def verify_hd(law: ExchangeableLaw, n_max: int) -> VerificationReport:
     """Evaluate the criterion over every tuple with 2 <= n <= n_max.
 
     Work is split into (n, u, z) groups, each evaluating the criterion for
-    every kernel index m at once, all on one cylinder table in this
-    process.  Entries are listed in the fixed lexicographic order
+    every kernel index m at once, all in this process on the law's own
+    memo of P(i).  Entries are listed in the fixed lexicographic order
     (n, u, z, m), so reports are byte-stable for a given (law, n_max).
     """
     if law.K < 3:
         raise ValueError(_K2_HINT)
     if n_max < 2:
         raise ValueError("verify_hd needs n_max >= 2")
-    table = _CylinderTable(law)
     groups = tuple(
-        (n, u, z, _group_values(table, n, u, z))
+        (n, u, z, _group_values(law, n, u, z))
         for n in range(2, n_max + 1)
         for u in range(2, n + 1)
         for z in compositions(n - 1, law.K)

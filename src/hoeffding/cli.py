@@ -111,10 +111,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         raise ValueError("--n-max must be >= 2")
     results = []
     first_witness = None
-    # consecutive orders share most of their classes
-    table = laws._CylinderTable(law)
     for n in range(2, args.n_max + 1):
-        res = decomp.weak_independence_oracle(law, n, table=table)
+        res = decomp.weak_independence_oracle(law, n)
         entry = {
             "n": n,
             "weakly_independent": res.weakly_independent,
@@ -277,16 +275,6 @@ def _build_urn(args: argparse.Namespace) -> tuple[urnsim.UrnState, urnsim.UrnFun
     return state, fn
 
 
-def _compare_law(args: argparse.Namespace, state: urnsim.UrnState) -> laws.ExchangeableLaw:
-    if args.urn == "polya":
-        return laws.Polya(tuple(Fraction(c) for c in state.counts))
-    if args.urn == "constant":
-        return laws.IID(_parse_rational_vector(args.p))
-    alpha = _parse_rational_vector(args.alpha)
-    pi, nu = Fraction(state.counts[0]), Fraction(sum(state.counts[1:]))
-    return laws.HLS(len(alpha) + 2, pi, nu, alpha)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if (args.steps is None) == (args.samples is None):
         raise ValueError("pass exactly one of --steps or --samples")
@@ -301,8 +289,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     if args.n is None:
         raise ValueError("--samples needs --n (prefix length)")
+    if args.n < 1:
+        raise ValueError("--n must be >= 1")
+    if args.samples == 0 and args.compare_exact:
+        raise ValueError("--compare-exact needs --samples >= 1: no draw, no comparison")
     # the exact law's own checks come before any draw
-    law = _compare_law(args, state) if args.compare_exact else None
+    law = fn.law(state.counts) if args.compare_exact else None
     report: dict = {
         "schema_version": 1,
         "urn": args.urn,

@@ -31,7 +31,6 @@ from .exactnum import (
 )
 from .laws import (
     ExchangeableLaw,
-    _CylinderTable,
     _read_json_file,
     class_prob,
     cylinder_prob,
@@ -450,7 +449,7 @@ def _block_split_census(
 
 
 def _oracle_rows(
-    table: _CylinderTable, n: int, u: int
+    law: ExchangeableLaw, n: int, u: int
 ) -> list[tuple[Composition, tuple[tuple[int, int], ...], Fraction]]:
     # One kernel-independent integer row per class z of order n-1, in
     # order, over the columns compositions(n, K): entry (a, b, mult)
@@ -460,13 +459,13 @@ def _oracle_rows(
     # row's dot product with a kernel phi is D_z * P(z) * total times the
     # symmetrized shift expectation of phi over the class, total being the
     # census size of z; that scale is kept with the row.
-    colors = table.law.K
+    cylinder, colors = law.cylinder, law.K
     col = {c: j for j, c in enumerate(compositions(n, colors))}
     fresh = _count_census(colors, u)
     census = _block_split_census(colors, n - 1, n - u)
     rows = []
     for z in compositions(n - 1, colors):
-        nums, den = _common_denominator(table[tuple(map(add, w, z))] for w, _ in fresh)
+        nums, den = _common_denominator(cylinder(tuple(map(add, w, z))) for w, _ in fresh)
         coefs: dict[int, int] = {}
         total = 0
         for a, _b, mult in census[z]:
@@ -474,7 +473,7 @@ def _oracle_rows(
             for (w, fmult), num in zip(fresh, nums):
                 j = col[tuple(map(add, w, a))]
                 coefs[j] = coefs.get(j, 0) + mult * fmult * num
-        rows.append((z, tuple(coefs.items()), den * total * table[z]))
+        rows.append((z, tuple(coefs.items()), den * total * cylinder(z)))
     return rows
 
 
@@ -494,9 +493,7 @@ class OracleResult:
     witness: Optional[OracleWitness]
 
 
-def weak_independence_oracle(
-    law: ExchangeableLaw, n: int, *, table: Optional[_CylinderTable] = None
-) -> OracleResult:
+def weak_independence_oracle(law: ExchangeableLaw, n: int) -> OracleResult:
     """Brute-force weak-independence check at order n.
 
     Builds a basis of the conditioned-to-zero kernels by exact null-space
@@ -508,14 +505,11 @@ def weak_independence_oracle(
     sequences, with no closed-form weight.  None of the coefficients
     depends on the kernel, so each (n, u) builds one integer row per class
     once, shared by every basis kernel, and a kernel costs one integer dot
-    product per row.  The cylinder probabilities come from `table`, a
-    table of this law that a caller checking several orders can share
-    between calls; by default each call fills a table of its own.
+    product per row.  The cylinder probabilities come from the law's own
+    memo, so a caller checking several orders reads each one once.
     """
     if n < 2:
         raise ValueError("weak_independence_oracle needs n >= 2")
-    if table is None:
-        table = _CylinderTable(law)
     basis = xi_nullspace_basis(law, n)
     comps = compositions(n, law.K)
     rows: dict[int, list] = {}
@@ -523,7 +517,7 @@ def weak_independence_oracle(
         vec, vden = _common_denominator(phi.as_vector(comps))
         for u in range(2, n + 1):
             if u not in rows:
-                rows[u] = _oracle_rows(table, n, u)
+                rows[u] = _oracle_rows(law, n, u)
             for z, row, scale in rows[u]:
                 num = sum(coef * vec[j] for j, coef in row)
                 if num:

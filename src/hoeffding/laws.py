@@ -135,8 +135,8 @@ def _rational_vector(values: Sequence[RationalLike]) -> tuple[Rational, ...]:
 
 
 class _Factors(dict):
-    """fn(*args, *key) per key, each computed on its first lookup: a law's
-    cache of one factor of its cylinder formula.  Laws keep it in a field
+    """fn(*args, *key) per key, each computed on its first lookup: one factor
+    of a law's cylinder formula, or P(i) itself.  Laws keep it in a field
     outside ==, hash and repr, so a filled cache changes nothing but speed."""
 
     def __init__(self, fn, *args) -> None:
@@ -169,8 +169,16 @@ def _product(factors: _Factors, i: Sequence[int]) -> Rational:
     return out
 
 
+class _Law:
+    """A family's P_n(i), memoized per count tuple i in its _cylinders, a
+    _Factors of its _formula: every caller of one law shares one memo."""
+
+    def cylinder(self, i: tuple[int, ...]) -> Rational:
+        return self._cylinders[i]
+
+
 @dataclass(frozen=True)
-class IID:
+class IID(_Law):
     """Independent draws from a fixed strictly positive distribution p."""
 
     family: ClassVar[str] = "iid"
@@ -179,6 +187,7 @@ class IID:
     p: tuple[Rational, ...]
     # p_t^e per (t, e)
     _powers: _Factors = field(init=False, repr=False, compare=False)
+    _cylinders: _Factors = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = _rational_vector(self.p)
@@ -190,17 +199,18 @@ class IID:
         if sum(p) != 1:
             raise ValueError("IID probabilities must sum to 1")
         object.__setattr__(self, "_powers", _Factors(_power, p))
+        object.__setattr__(self, "_cylinders", _Factors(self._formula))
 
     @property
     def K(self) -> int:
         return len(self.p)
 
-    def cylinder(self, i: Composition) -> Rational:
+    def _formula(self, *i: int) -> Rational:
         return _product(self._powers, i)
 
 
 @dataclass(frozen=True)
-class Polya:
+class Polya(_Law):
     """Dirichlet-directed exchangeable law with positive weights alpha."""
 
     family: ClassVar[str] = "polya"
@@ -209,6 +219,7 @@ class Polya:
     alpha: tuple[Rational, ...]
     # rising(alpha_j, e) per (j, e) and rising(sum alpha, N) per (K, N)
     _risings: _Factors = field(init=False, repr=False, compare=False)
+    _cylinders: _Factors = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         alpha = _rational_vector(self.alpha)
@@ -218,17 +229,18 @@ class Polya:
         if any(x <= 0 for x in alpha):
             raise ValueError("Polya weights must be strictly positive")
         object.__setattr__(self, "_risings", _Factors(_rising, (*alpha, sum(alpha))))
+        object.__setattr__(self, "_cylinders", _Factors(self._formula))
 
     @property
     def K(self) -> int:
         return len(self.alpha)
 
-    def cylinder(self, i: Composition) -> Rational:
-        return _product(self._risings, i) / self._risings[self.K, i.order]
+    def _formula(self, *i: int) -> Rational:
+        return _product(self._risings, i) / self._risings[self.K, sum(i)]
 
 
 @dataclass(frozen=True)
-class HLS:
+class HLS(_Law):
     """K-color law whose directing measure sits on a curve in the simplex.
 
     The first coordinate carries a Beta(pi, nu) weight theta; colors
@@ -248,6 +260,7 @@ class HLS:
     # alpha_1, ..., alpha_{K-2}, 1 - sum(alpha) of colors 2..K
     _moments: _Factors = field(init=False, repr=False, compare=False)
     _powers: _Factors = field(init=False, repr=False, compare=False)
+    _cylinders: _Factors = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.K, int) or self.K < 3:
@@ -266,13 +279,14 @@ class HLS:
             raise ValueError("HLS needs sum(alpha) < 1")
         object.__setattr__(self, "_moments", _Factors(_beta_moment, self.pi, self.nu))
         object.__setattr__(self, "_powers", _Factors(_power, (*alpha, 1 - sum(alpha))))
+        object.__setattr__(self, "_cylinders", _Factors(self._formula))
 
-    def cylinder(self, i: Composition) -> Rational:
-        return self._moments[i[0], i.order] * _product(self._powers, i[1:])
+    def _formula(self, *i: int) -> Rational:
+        return self._moments[i[0], sum(i)] * _product(self._powers, i[1:])
 
 
 @dataclass(frozen=True)
-class MixtureIID:
+class MixtureIID(_Law):
     """Finite mixture of IID laws with positive weights summing to 1."""
 
     family: ClassVar[str] = "mixture"
@@ -283,6 +297,7 @@ class MixtureIID:
     components: tuple[tuple[Rational, ...], ...]
     # p_t^e per (t, e), one cache per component
     _powers: tuple[_Factors, ...] = field(init=False, repr=False, compare=False)
+    _cylinders: _Factors = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         weights = _rational_vector(self.weights)
@@ -304,12 +319,13 @@ class MixtureIID:
             if len(comp) < 2 or any(x <= 0 for x in comp) or sum(comp) != 1:
                 raise ValueError("each MixtureIID component must be a valid IID vector")
         object.__setattr__(self, "_powers", tuple(_Factors(_power, p) for p in components))
+        object.__setattr__(self, "_cylinders", _Factors(self._formula))
 
     @property
     def K(self) -> int:
         return len(self.components[0])
 
-    def cylinder(self, i: Composition) -> Rational:
+    def _formula(self, *i: int) -> Rational:
         terms = (w * _product(powers, i) for w, powers in zip(self.weights, self._powers))
         return sum(terms, Fraction(0))
 
@@ -322,20 +338,6 @@ _FAMILIES: dict[str, type] = {cls.family: cls for cls in (IID, Polya, HLS, Mixtu
 @lru_cache(maxsize=None)
 def _cylinder(law: ExchangeableLaw, i: Composition) -> Rational:
     return law.cylinder(i)
-
-
-class _CylinderTable(dict):
-    """P_n(i) of one law keyed by plain count tuple, each filled once from
-    law.cylinder on first lookup.  One table serves one run: unlike
-    _cylinder, it never hashes the law."""
-
-    def __init__(self, law: ExchangeableLaw) -> None:
-        super().__init__()
-        self.law = law
-
-    def __missing__(self, i: tuple[int, ...]) -> Rational:
-        p = self[i] = self.law.cylinder(Composition(i))
-        return p
 
 
 def _as_composition(law: ExchangeableLaw, i: Sequence[int]) -> Composition:

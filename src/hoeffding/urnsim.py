@@ -25,6 +25,7 @@ from typing import NamedTuple, Sequence, Union
 
 from .exactnum import Composition, Rational, RationalLike, compositions, parse_rational
 from .exactnum import _common_denominator
+from .laws import HLS, IID, ExchangeableLaw, Polya
 
 __all__ = [
     "UrnState",
@@ -82,7 +83,8 @@ def _cut(weights: Sequence[int]) -> _Cut:
 
 
 class _Urn:
-    """The draw thresholds of an urn function, from its integer weights."""
+    """The draw thresholds of an urn function, from its integer weights.
+    Each family's ``law(counts)`` is the exact law of its draws from counts."""
 
     def cut(self, counts: Sequence[int]) -> _Cut:
         """The thresholds of the next draw from ``counts``."""
@@ -95,6 +97,9 @@ class IdentityUrn(_Urn):
 
     def weights(self, counts: Sequence[int]) -> Sequence[int]:
         return counts
+
+    def law(self, counts: Sequence[int]) -> ExchangeableLaw:
+        return Polya(counts)
 
 
 @dataclass(frozen=True)
@@ -124,6 +129,9 @@ class ConstantUrn(_Urn):
 
     def cut(self, counts: Sequence[int]) -> _Cut:
         return self._fixed_cut
+
+    def law(self, counts: Sequence[int]) -> ExchangeableLaw:
+        return IID(self.p)
 
 
 @dataclass(frozen=True)
@@ -155,6 +163,9 @@ class HLSUrn(_Urn):
         # the probabilities (y_1, alpha_t (1 - y_1), ...) times D * sum(counts)
         rest = sum(counts) - counts[0]
         return (counts[0] * self._scale, *(s * rest for s in self._shares))
+
+    def law(self, counts: Sequence[int]) -> ExchangeableLaw:
+        return HLS(len(self.alpha) + 2, counts[0], sum(counts) - counts[0], self.alpha)
 
 
 UrnFunction = Union[IdentityUrn, ConstantUrn, HLSUrn]
@@ -208,12 +219,13 @@ def simulate(
     if steps < 0:
         raise ValueError("steps must be non-negative")
     counts = list(initial.counts)
-    if (emitted := len(fn.cut(counts).thresholds)) != len(counts):
+    cut = fn.cut(counts)  # the first draw's, checked here
+    if (emitted := len(cut.thresholds)) != len(counts):
         raise ValueError(f"urn function emits {emitted} colors, state has {len(counts)}")
     prefix = f"{seed}|{sample_index}|"
     out = []
     for step in range(steps):
-        j = _draw(fn.cut(counts), prefix, step)
+        j = _draw(fn.cut(counts) if step else cut, prefix, step)
         out.append(j)
         counts[j] += 1
     return out

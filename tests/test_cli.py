@@ -398,6 +398,19 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out)["estimates"] == []
 
+    def test_zero_samples_check_the_prefix_length(self):
+        code, out, err = run_cli(
+            ["simulate", "--urn", "constant", "--p", "1/2,1/2",
+             "--samples", "0", "--n", "0"])
+        assert (code, out) == (2, "") and "--n must be >= 1" in err
+
+    def test_zero_samples_compare_nothing(self):
+        # no draw is no comparison, so it is no verdict either
+        code, out, err = run_cli(
+            ["simulate", "--urn", "hls", "--alpha", "1/2", "--pi", "1", "--nu", "2",
+             "--samples", "0", "--n", "2", "--compare-exact"])
+        assert (code, out) == (2, "") and "--compare-exact" in err
+
     def test_steps_and_samples_are_exclusive(self):
         code, _, err = run_cli(
             ["simulate", "--urn", "polya", "--initial", "1,1",

@@ -47,7 +47,8 @@ from hoeffding.decomp import (
     _ustat_matrix,
 )
 from hoeffding.exactnum import Composition, compositions
-from hoeffding.laws import _CylinderTable, cylinder_prob, parse_law, predictive_prob
+from hoeffding.characterization import verify_hd
+from hoeffding.laws import cylinder_prob, format_law, parse_law, predictive_prob
 
 IID_REF = parse_law("iid:p=1/2,1/3,1/6")
 POLYA_REF = parse_law("polya:alpha=1,2,3")
@@ -484,20 +485,26 @@ class TestWeakIndependenceOracle:
         for name, law in zip(("iid", "polya", "hls3", "hls3b", "mixture", "hls4"), ALL_LAWS)
     ])
     def test_one_table_serves_every_order(self, law):
-        # the CLI passes one cylinder table to every n
-        table = _CylinderTable(law)
-        for n in range(2, 6):
-            shared = weak_independence_oracle(law, n, table=table)
-            assert shared == weak_independence_oracle(law, n)
-        assert table
+        # verify and the oracle read one memo of P(i) on the law: after a
+        # sweep to n_max = 3 (orders 2..5), the oracle at n = 3 reads
+        # nothing new, and at n = 2 only the order-1 classes that scale its
+        # rows, which no criterion value reads
+        law = parse_law(format_law(law))
+        verify_hd(law, 3)
+        swept = set(law._cylinders)
+        shared = [weak_independence_oracle(law, 3)]
+        assert set(law._cylinders) == swept
+        shared.insert(0, weak_independence_oracle(law, 2))
+        assert set(law._cylinders) - swept == set(compositions(1, law.K))
+        fresh = [weak_independence_oracle(parse_law(format_law(law)), n) for n in (2, 3)]
+        assert shared == fresh
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_shared_rows_give_every_symmetrized_value(self, n):
         # the mixture's first witness sits on a class of one sequence, so
         # compare every value, also where the census has several splits
         comps = compositions(n, MIX.K)
-        table = _CylinderTable(MIX)
-        rows = {u: _oracle_rows(table, n, u) for u in range(2, n + 1)}
+        rows = {u: _oracle_rows(MIX, n, u) for u in range(2, n + 1)}
         values = [
             (idx, u, z, sum((coef * phi(comps[j]) for j, coef in row), Fraction(0)) / scale)
             for idx, phi in enumerate(xi_nullspace_basis(MIX, n))

@@ -8,6 +8,7 @@ path touches rising factorials.
 
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -402,6 +403,31 @@ class TestCylinderMemo:
         assert repr(filled) == repr(fresh)
         assert format_law(filled) == format_law(fresh) == spec
         assert law_to_jsonable(filled) == law_to_jsonable(fresh)
+
+    @pytest.mark.parametrize("spec", MEMO_SPECS)
+    def test_plain_tuples_and_compositions_share_one_entry(self, spec):
+        law = parse_law(spec)
+        for i in compositions(4, law.K):
+            p = law.cylinder(tuple(i))
+            assert law.cylinder(Composition(i)) is p
+        for i in compositions(5, law.K):
+            p = law.cylinder(Composition(i))
+            assert law.cylinder(tuple(i)) is p
+        assert len(law._cylinders) == len(compositions(4, law.K)) + len(compositions(5, law.K))
+
+    @pytest.mark.parametrize("spec", MEMO_SPECS)
+    def test_a_filled_memo_pickles_back(self, spec):
+        filled = parse_law(spec)
+        comps = compositions(5, filled.K)
+        values = [filled.cylinder(i) for i in comps]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(filled, protocol))
+            assert back == filled and format_law(back) == spec
+            assert back._cylinders == filled._cylinders
+            assert [back.cylinder(i) for i in comps] == values
+            # the restored memo computes new entries from the restored law
+            i = compositions(6, back.K)[-1]
+            assert back.cylinder(i) == closed_form(back, i)
 
 
 def test_cylinder_prob_accepts_plain_tuples_and_compositions():

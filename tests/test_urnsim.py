@@ -237,6 +237,50 @@ def urns(draw):
     return UrnState(counts), fn
 
 
+@st.composite
+def positive_urns(draw):
+    """An urn function of one of the three families and positive start
+    counts, from which its draws follow a named exact law."""
+    family = draw(st.sampled_from(("identity", "constant", "hls")))
+    if family == "hls":
+        ratios_in = draw(positive_fractions(1, 2))
+        slack = draw(st.fractions(min_value=0, max_value=2, max_denominator=40)
+                     .filter(bool))
+        fn = HLSUrn(tuple(x / (sum(ratios_in) + slack) for x in ratios_in))
+        colors = len(ratios_in) + 2
+    elif family == "constant":
+        mass = draw(positive_fractions(2, 4))
+        fn = ConstantUrn(tuple(x / sum(mass) for x in mass))
+        colors = len(mass)
+    else:
+        fn = IdentityUrn()
+        colors = draw(st.integers(2, 4))
+    counts = draw(st.lists(st.integers(1, 5), min_size=colors, max_size=colors))
+    return tuple(counts), fn
+
+
+def path_product(fn, counts, i):
+    """P(i) from the urn itself: the product of w_j / sum(w) over the draws
+    of one path from counts to counts + i, all of color 0 first."""
+    h = list(counts)
+    out = Fraction(1)
+    for j, e in enumerate(i):
+        for _ in range(e):
+            w = fn.weights(h)
+            out *= Fraction(w[j], sum(w))
+            h[j] += 1
+    return out
+
+
+@given(positive_urns())
+def test_urn_law_is_the_path_product(urn):
+    counts, fn = urn
+    law = fn.law(counts)
+    for n in range(6):
+        for i in compositions(n, len(counts)):
+            assert law.cylinder(i) == path_product(fn, counts, i), (counts, i)
+
+
 class TestDrawMatchesReference:
     @given(urns(), st.integers(0, 2**32), st.integers(0, 10**6), st.integers(0, 12))
     def test_simulate(self, urn, seed, sample, steps):
@@ -313,7 +357,8 @@ class TestEmpiricalCylinder:
 
     def test_each_state_is_cut_once(self):
         # one table serves every sample; a lone trajectory asks its urn
-        # function at every step
+        # function once per draw, the first state's cut also serving the
+        # color-count check
         asked = []
 
         class Recording:
@@ -324,8 +369,9 @@ class TestEmpiricalCylinder:
         empirical_cylinder(UrnState((1, 1, 1)), Recording(), 4, 500, seed=3)
         assert len(asked) == len(set(asked)) == math.comb(4 + 3 - 1, 3)
         asked.clear()
-        simulate(UrnState((1, 2, 0)), Recording(), 6, seed=3)
-        assert len(asked) == 7
+        seq = simulate(UrnState((1, 2, 0)), Recording(), 6, seed=3)
+        assert seq == simulate(UrnState((1, 2, 0)), IdentityUrn(), 6, seed=3)
+        assert len(asked) == 6
 
     def test_validation(self):
         with pytest.raises(ValueError):
