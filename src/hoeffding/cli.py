@@ -149,7 +149,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         raise ValueError(
             f"statistic has K={statistic.colors} but the law has K={law.K}"
         )
-    consistency = laws.check_consistency(law, n)
+    # an order-0 statistic is a constant, F_0 = T; the law is still checked
+    consistency = laws.check_consistency(law, max(n, 1))
     if not consistency.passed:
         raise ValueError(f"law failed consistency: {consistency.failure}")
     parts = decomp.decompose(law, n, statistic)

@@ -237,6 +237,21 @@ class TestDecompose:
         assert all(c["completely_degenerate"] is True
                    for c in report["components"][1:])
 
+    def test_order_zero_statistic_is_its_own_f0(self, tmp_path):
+        path = tmp_path / "stat.json"
+        path.write_text(json.dumps(
+            {"order": 0, "K": 3, "values": [{"composition": [0, 0, 0], "value": "5/2"}]}))
+        code, out, err = run_cli(
+            ["decompose", "--law", "polya:alpha=1,2,3", "--statistic", str(path)])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["n"] == 0 and report["reconstruction"] == "exact"
+        [f0] = report["components"]
+        assert f0["k"] == 0 and f0["completely_degenerate"] is None
+        assert f0["values"] == [{"composition": [0, 0, 0], "value": "5/2"}]
+        assert f0["kernel"]["order"] == 0
+        assert f0["kernel"]["values"] == f0["values"]
+
     def test_order_crosscheck(self, tmp_path):
         path = statistic_file(tmp_path)
         code, _, err = run_cli(

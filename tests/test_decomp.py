@@ -255,6 +255,18 @@ def test_project_su_matches_fraction_rhs(law, n, data):
             == fraction_rhs_projection(matrix, weights, tvec)
 
 
+@pytest.mark.parametrize("law", ALL_LAWS)
+def test_gram_solve_matches_the_general_solver(law):
+    # the SU Gram systems of decompose through solve_spd, against the
+    # general pivoting solver
+    for n in range(1, 5):
+        weights = _class_weights(law, n)
+        for k in range(n):
+            gram = _su_gram(_ustat_matrix(n, k, law.K), weights)
+            rhs = [Fraction(3 * a - 7, a + 2) for a in range(len(gram))]
+            assert linalg.solve_spd(gram, rhs) == linalg.solve(gram, rhs)
+
+
 class TestKernelFor:
     def test_ustat_matrix_has_full_column_rank(self):
         # kernel_for returns the one solution of its solve as the kernel and

@@ -5,7 +5,8 @@ law spec strings), so a refactor of the law families or of the report
 writers cannot change an output without failing here.  A JSON law file
 must give the same bytes as the inline spec it encodes.  The `decompose`
 digests pin the layers, the kernel of each layer and the degeneracy
-witnesses, at order 3 and, for two K=4 laws, at order 6.  The deeper `oracle` digests pin the basis sizes of laws that
+witnesses, at order 3, for two K=4 laws at order 6, and for one K=4 law
+at order 8.  The deeper `oracle` digests pin the basis sizes of laws that
 pass at every order, so a faster oracle cannot change a verdict.  The `simulate` digests pin every drawn color of fixed urn
 trajectories and Monte Carlo tables, so a change to the draw cannot move a
 single ball unnoticed.  The deeper `verify` digests reach orders where
@@ -89,6 +90,9 @@ DECOMPOSE6_GOLDEN = {
     "hls4": "e8d2dbd16209455236e4f55e9471024da392ec30a0515a5f5f2444df70268f75",
     "polya4": "60fcb257e5240bc1d53cea8913da83d7efc48b1bab880f0a188995a9ff4e6e05",
 }
+# sha256 of `decompose` stdout for golden_statistic(8, 4) under the K=4
+# Polya law, whose largest Gram system is 120 x 120; exits 0
+DECOMPOSE8_POLYA4_GOLDEN = "94a1bcfc5c3e2e48e6301185f81fadf0e069d303957065022f8732f6ab978a9d"
 
 # name -> (simulate arguments, (exit code, sha256 of stdout)); the --steps
 # runs include a color that starts empty and a color of probability zero
@@ -178,6 +182,13 @@ def test_order6_decompose_digest(name, tmp_path):
     path.write_text(json.dumps(golden_statistic(6, 4)))
     argv = ["decompose", "--law", DECOMPOSE6_LAWS[name], "--statistic", str(path)]
     assert run_digest(argv) == (0, DECOMPOSE6_GOLDEN[name])
+
+
+def test_order8_decompose_digest(tmp_path):
+    path = tmp_path / "statistic.json"
+    path.write_text(json.dumps(golden_statistic(8, 4)))
+    argv = ["decompose", "--law", DECOMPOSE6_LAWS["polya4"], "--statistic", str(path)]
+    assert run_digest(argv) == (0, DECOMPOSE8_POLYA4_GOLDEN)
 
 
 @pytest.mark.parametrize("name", sorted(SIMULATE_GOLDEN))

@@ -4,10 +4,11 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hoeffding.linalg import _integer_rows, nullspace, rank, row_echelon, solve
+from hoeffding.linalg import _integer_rows, nullspace, rank, row_echelon, solve, solve_spd
 
 
 def naive_rank(rows):
@@ -132,3 +133,41 @@ def test_empty_and_degenerate_shapes():
     assert nullspace([[0, 0, 0]]) and len(nullspace([[0, 0, 0]])) == 3
     assert solve([[2]], [3]) == [Fraction(3, 2)]
     assert solve([[0]], [1]) is None
+    assert solve([], []) == []
+    assert solve_spd([], []) == []
+
+
+@given(st.integers(1, 8), st.integers(0, 4), st.integers())
+def test_solve_spd_matches_solve_on_weighted_grams(cols, extra, seed):
+    # G = A^T W A with A of full column rank and W a positive diagonal
+    # whose entries all have different denominators, so the rows of G are
+    # scaled by different lcms
+    rng = random.Random(seed)
+    a = random_matrix(rng, cols + extra, cols)
+    if rank(a) < cols:
+        a += [[int(i == j) for j in range(cols)] for i in range(cols)]
+    w = [rng.randint(1, 9) + Fraction(1, r + 2) for r in range(len(a))]
+    gram = [
+        [sum((wr * row[i] * row[j] for wr, row in zip(w, a)), Fraction(0)) for j in range(cols)]
+        for i in range(cols)
+    ]
+    b = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(cols)]
+    x = solve_spd(gram, b)
+    assert x == solve(gram, b)
+    assert matvec(gram, x) == b
+
+
+@pytest.mark.parametrize("g", [[[0]], [[1, 1], [1, 1]], [[1, 2], [2, 1]], [[-1]]])
+def test_solve_spd_rejects_matrices_that_are_not_positive_definite(g):
+    with pytest.raises(ValueError, match="positive definite"):
+        solve_spd(g, [1] * len(g))
+
+
+@pytest.mark.parametrize("g,b", [
+    ([[2, 1], [0, 2]], [1, 1]),
+    ([[1, 0, 0], [0, 1, 0]], [1, 1]),
+    ([[1]], [1, 2]),
+])
+def test_solve_spd_rejects_unsymmetric_and_misshapen_input(g, b):
+    with pytest.raises(ValueError, match="solve_spd needs"):
+        solve_spd(g, b)
