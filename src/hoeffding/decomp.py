@@ -253,15 +253,15 @@ def _project_su(
     # columns of matrix (the indicator U-statistics of one order), via the
     # normal equations.  The columns are independent and every class has
     # positive probability, so the Gram matrix is positive definite and
-    # linalg.solve_spd finds the one solution.  The right-hand side M^T W t
-    # is one integer sum per column over the weights' and the statistic's
-    # common denominators.
+    # linalg.solve_symmetric finds the one solution.  The right-hand side
+    # M^T W t is one integer sum per column over the weights' and the
+    # statistic's common denominators.
     prods, den = _integer_products(weights, tvec)
     rhs = [
         Fraction(sum(mrow[a] * p for mrow, p in zip(matrix, prods) if mrow[a]), den)
         for a in range(len(matrix[0]))
     ]
-    return linalg.solve_spd(_su_gram(matrix, weights), rhs)
+    return linalg.solve_symmetric(_su_gram(matrix, weights), rhs)
 
 
 def decompose(

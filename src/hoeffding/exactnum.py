@@ -10,6 +10,7 @@ enumeration of weak compositions.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
@@ -187,16 +188,23 @@ def class_size(i: Sequence[int]) -> int:
     return multinomial(sum(i), tuple(i))
 
 
-def parse_rational(value: RationalLike) -> Rational:
-    """Parse a "num/den" or integer string; numbers pass through exactly.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
-    Exponent forms such as "1e-5" are refused: Fraction would expand a
-    short exponent into an integer of unbounded size."""
+
+def parse_rational(value: RationalLike) -> Rational:
+    """Parse an integer or "num/den" string; numbers pass through exactly.
+
+    Once stripped of surrounding whitespace, a string must read
+    -?digits(/digits)? in ASCII digits.  Decimal, exponent, underscore and
+    '+' forms are refused: Fraction would expand a short exponent into an
+    integer of unbounded size, and no report writes the others."""
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     text = str(value).strip()
-    if "e" in text or "E" in text:
-        raise ValueError(f"cannot parse rational from {value!r}: exponent forms are not accepted")
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(
+            f"cannot parse rational from {value!r}: expected an integer or num/den"
+            " such as -3 or 2/5; decimal, exponent and '+' forms are not accepted")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

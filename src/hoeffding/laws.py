@@ -91,7 +91,8 @@ class _Rational:
     def from_tokens(self, tokens: list[str]):
         # one token is a scalar, and an integer literal a JSON integer
         raw = tokens[0] if len(tokens) == 1 else tokens
-        return int(raw) if isinstance(raw, str) and raw.removeprefix("-").isdecimal() else raw
+        digits = raw.removeprefix("-") if isinstance(raw, str) else ""
+        return int(raw) if digits.isascii() and digits.isdecimal() else raw
 
 
 class _Integer(_Rational):

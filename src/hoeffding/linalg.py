@@ -5,24 +5,32 @@ rank, null space and linear solves built on top.  Each row is scaled to
 integers by the lcm of its own denominators.  `solve` is the general
 solver: it pivots on the first nonzero entry of each column and reports an
 inconsistent system.  `solve_spd` is the solver for symmetric positive
-definite systems, such as the Gram matrices of `decomp`: it needs no
-pivot search and updates only the upper triangle and the right-hand side,
-since the minors below the diagonal follow from those above it.  Both
-back-substitute in integers and make one Fraction per coordinate at the
-end.  All results are exact; there is no pivot-size heuristic because
-there is no rounding.
+definite systems: it needs no pivot search and updates only the upper
+triangle and the right-hand side, since the minors below the diagonal
+follow from those above it.  Both back-substitute in integers and make one
+Fraction per coordinate at the end.
+
+`solve_symmetric` solves the Gram systems of `decomp`, whose Bareiss
+entries grow far larger than their solutions.  It factors G once modulo
+the prime 2^127 - 1 and lifts the solution P-adically (Dixon 1982), then
+rebuilds it by rational reconstruction and accepts it only after an exact
+integer check of D G x = D b.  Where the prime divides a pivot or a row
+denominator, or the lifting reaches the Hadamard bound unchecked, it hands
+the system to `solve_spd`.  All results are exact; there is no pivot-size
+heuristic because there is no rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from operator import mul
 from typing import Optional, Sequence
 
 from .exactnum import _common_denominator
 
-__all__ = ["row_echelon", "rank", "nullspace", "solve", "solve_spd"]
+__all__ = ["row_echelon", "rank", "nullspace", "solve", "solve_spd", "solve_symmetric"]
 
 Matrix = Sequence[Sequence["Fraction | int"]]
 
@@ -120,6 +128,16 @@ def solve(a_rows: Matrix, b: Sequence["Fraction | int"]) -> Optional[list[Fracti
     return _back_substitute(ech, ncols_a, -1)[:ncols_a]
 
 
+def _check_square_symmetric(name: str, g_rows: list, b: Sequence) -> None:
+    n = len(g_rows)
+    if len(b) != n:
+        raise ValueError(f"{name} needs one right-hand side entry per row")
+    if any(len(row) != n for row in g_rows):
+        raise ValueError(f"{name} needs a square matrix")
+    if list(zip(*g_rows)) != list(map(tuple, g_rows)):
+        raise ValueError(f"{name} needs a symmetric matrix")
+
+
 def solve_spd(g_rows: Matrix, b: Sequence["Fraction | int"]) -> list[Fraction]:
     """The exact solution of G x = b for a symmetric positive definite G.
 
@@ -132,13 +150,8 @@ def solve_spd(g_rows: Matrix, b: Sequence["Fraction | int"]) -> list[Fraction]:
     ValueError.
     """
     g_rows = list(g_rows)
+    _check_square_symmetric("solve_spd", g_rows, b)
     n = len(g_rows)
-    if len(b) != n:
-        raise ValueError("solve_spd needs one right-hand side entry per row")
-    if any(len(row) != n for row in g_rows):
-        raise ValueError("solve_spd needs a square matrix")
-    if list(zip(*g_rows)) != list(map(tuple, g_rows)):
-        raise ValueError("solve_spd needs a symmetric matrix")
     scaled = [_common_denominator([*row, rhs]) for row, rhs in zip(g_rows, b)]
     m = [nums for nums, _ in scaled]
     dens = [den for _, den in scaled]
@@ -158,3 +171,125 @@ def solve_spd(g_rows: Matrix, b: Sequence["Fraction | int"]) -> list[Fraction]:
     # below the diagonal m still holds the scaled input, which the
     # back-substitution never reads
     return _back_substitute(Echelon(m, list(range(n)), n + 1), n, -1)[:n]
+
+
+# the Mersenne prime 2^127 - 1, the modulus of solve_symmetric's factorization
+_P = (1 << 127) - 1
+
+
+def solve_symmetric(g_rows: Matrix, b: Sequence["Fraction | int"]) -> list[Fraction]:
+    """The exact solution of G x = b for a symmetric nonsingular G.
+
+    Dixon's p-adic lifting on the rows of [G | b], each scaled by the lcm
+    of its own denominators d_i.  Row i times d_i^-1 mod P = 2^127 - 1 is
+    row i of G mod P, so G is factored once mod P on the upper triangle,
+    touching a row only where the pivot row is nonzero.  Each lifting step
+    solves for the next P-adic digit of x with that factor and divides the
+    residual by P; at steps 1, 2, 4, 8, ... and at the last one, x is
+    rebuilt by rational reconstruction and accepted only if D G x = D b
+    holds exactly.  Every pivot is nonzero mod P, so G is nonsingular and
+    the checked x is the solution.  A pivot or a d_i that vanishes mod P,
+    or a lifting that reaches the Hadamard bound without a checked x, hands
+    the system to solve_spd.
+    """
+    g_rows = list(g_rows)
+    _check_square_symmetric("solve_symmetric", g_rows, b)
+    n = len(g_rows)
+    scaled = [_common_denominator([*row, rhs]) for row, rhs in zip(g_rows, b)]
+    if any(den % _P == 0 for _, den in scaled):
+        return solve_spd(g_rows, b)
+    dinv = [pow(den, -1, _P) for _, den in scaled]
+    factor = _factor_mod_p([nums[:n] for nums, _ in scaled], dinv)
+    if factor is None:
+        return solve_spd(g_rows, b)
+    rows = [[(j, a) for j, a in enumerate(nums[:n]) if a] for nums, _ in scaled]
+    rhs = residual = [nums[n] for nums, _ in scaled]
+    # x and y are minors of [D G | D b] over det(D G), all at most the
+    # Hadamard bound H, so a modulus P^L > 2 H^2 reconstructs them
+    h2_bits = sum((sum(a * a for a in nums)).bit_length() for nums, _ in scaled)
+    cap = (h2_bits + 2) // 127 + 1
+    x_mod = [0] * n
+    modulus = 1
+    for step in range(1, cap + 1):
+        digit = _solve_mod_p(factor, [r * di % _P for r, di in zip(residual, dinv)])
+        x_mod = [x + modulus * y for x, y in zip(x_mod, digit)]
+        modulus *= _P
+        residual = [
+            (r - sum(a * digit[j] for j, a in row)) // _P for r, row in zip(residual, rows)
+        ]
+        if step & (step - 1) == 0 or step == cap:
+            x = _reconstruct(x_mod, modulus)
+            if x is not None and _satisfies(rows, rhs, *x):
+                nums, den = x
+                return [Fraction(v, den) for v in nums]
+    return solve_spd(g_rows, b)
+
+
+def _factor_mod_p(rows: list[list[int]], dinv: list[int]):
+    # Symmetric elimination of G mod P on the upper triangle.  Returns,
+    # per pivot row r, its nonzero entries right of the diagonal and the
+    # pivot's inverse, or None if a pivot vanishes mod P.  Updates are
+    # reduced mod P only when their row becomes the pivot row.
+    n = len(rows)
+    m = [[a * di for a in row] for row, di in zip(rows, dinv)]
+    factor = []
+    for r in range(n):
+        row_r = m[r]
+        piv = row_r[r] % _P
+        if not piv:
+            return None
+        inv = pow(piv, -1, _P)
+        nz = [(j, a) for j, a in ((j, row_r[j] % _P) for j in range(r + 1, n)) if a]
+        for k, (i, a) in enumerate(nz):
+            fac = a * inv % _P
+            row_i = m[i]
+            for j, p in nz[k:]:
+                row_i[j] -= fac * p
+        factor.append((nz, inv))
+    return factor
+
+
+def _solve_mod_p(factor, v: list[int]) -> list[int]:
+    # G x = v mod P by the stored factor: forward through the unit lower
+    # factor, whose column r is the pivot row over its pivot, then back
+    z = list(v)
+    for r, (nz, inv) in enumerate(factor):
+        w = z[r] % _P * inv % _P
+        for j, a in nz:
+            z[j] -= a * w
+    x = [0] * len(v)
+    for r in range(len(v) - 1, -1, -1):
+        nz, inv = factor[r]
+        x[r] = (z[r] - sum(a * x[j] for j, a in nz)) * inv % _P
+    return x
+
+
+def _reconstruct(x_mod: list[int], modulus: int) -> Optional[tuple[list[int], int]]:
+    # Rational reconstruction of every coordinate over one common
+    # denominator, numerator and denominator at most sqrt(modulus / 2):
+    # each coordinate is first multiplied by the denominator so far, so
+    # most reconstruct at once.  None if some coordinate has no such form.
+    bound = isqrt(modulus // 2)
+    den = 1
+    parts = []
+    for v in x_mod:
+        r0, r1 = modulus, v * den % modulus
+        t0, t1 = 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            t0, t1 = t1, t0 - q * t1
+        if t1 < 0:
+            r1, t1 = -r1, -t1
+        den *= t1
+        if den > bound:
+            return None
+        parts.append((r1, den))
+    return [num * (den // d) for num, d in parts], den
+
+
+def _satisfies(rows, rhs: list[int], nums: list[int], den: int) -> bool:
+    # the exact check A (nums / den) = rhs on the integer rows A
+    return all(
+        sum(a * nums[j] for j, a in row) == c * den for row, c in zip(rows, rhs)
+    )

@@ -521,6 +521,32 @@ class TestErrorChannel:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error:") and "exponent" in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["law-check", "--law", "iid:p=1/2,0.5", "--n-max", "1"],
+        ["law-check", "--law", "iid:p=+1/2,1/2", "--n-max", "1"],
+        ["law-check", "--law", "polya:alpha=1_0,2,3", "--n-max", "1"],
+        ["law-check", "--law", "polya:alpha=\u0661,2,3", "--n-max", "1"],
+        ["simulate", "--urn", "constant", "--p", "0.5,1/2", "--steps", "2"],
+    ])
+    def test_only_integers_and_num_den_are_rationals(self, argv):
+        # decimal, '+', underscore and non-ASCII digit forms used to be
+        # read as the number they spell; now they are input errors
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "not accepted" in err
+        assert err.count("\n") == 1
+
+    def test_decimal_statistic_value_is_an_input_error(self, tmp_path):
+        path = tmp_path / "statistic.json"
+        path.write_text(json.dumps({"order": 1, "K": 3, "values": [
+            {"composition": [1, 0, 0], "value": "0.5"},
+            {"composition": [0, 1, 0], "value": "1/2"},
+            {"composition": [0, 0, 1], "value": 1}]}))
+        code, out, err = run_cli(
+            ["decompose", "--law", "polya:alpha=1,2,3", "--statistic", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "not accepted" in err
+
     @pytest.mark.parametrize("obj", [
         {"family": "iid"},
         {"family": "iid", "p": 5},

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -257,14 +258,17 @@ def test_project_su_matches_fraction_rhs(law, n, data):
 
 @pytest.mark.parametrize("law", ALL_LAWS)
 def test_gram_solve_matches_the_general_solver(law):
-    # the SU Gram systems of decompose through solve_spd, against the
-    # general pivoting solver
+    # the SU Gram systems of decompose through solve_symmetric, with no
+    # fallback, and through solve_spd, against the general pivoting solver
     for n in range(1, 5):
         weights = _class_weights(law, n)
         for k in range(n):
             gram = _su_gram(_ustat_matrix(n, k, law.K), weights)
             rhs = [Fraction(3 * a - 7, a + 2) for a in range(len(gram))]
-            assert linalg.solve_spd(gram, rhs) == linalg.solve(gram, rhs)
+            expected = linalg.solve(gram, rhs)
+            assert linalg.solve_spd(gram, rhs) == expected
+            with mock.patch.object(linalg, "solve_spd", side_effect=AssertionError):
+                assert linalg.solve_symmetric(gram, rhs) == expected
 
 
 class TestKernelFor:

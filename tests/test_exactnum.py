@@ -276,6 +276,20 @@ class TestRationalStrings:
         with pytest.raises(ValueError, match="exponent"):
             parse_rational(text)
 
+    @pytest.mark.parametrize("text", [
+        "0.5", ".5", "1.", "+1/2", "1/+2", "1/-2", "--1", "1_000", "1 /2", "1/2/3",
+        "/2", "1/", "", "\u0661", "1/\u0662", "nan", "inf",
+    ])
+    def test_only_integers_and_num_den_are_accepted(self, text):
+        with pytest.raises(ValueError, match="not accepted"):
+            parse_rational(text)
+
+    @pytest.mark.parametrize("text,value", [
+        (" -3/4 ", Fraction(-3, 4)), ("007", 7), ("-0", 0), ("10/4", Fraction(5, 2)),
+    ])
+    def test_grammar_forms_parse_exactly(self, text, value):
+        assert parse_rational(text) == value
+
     def test_format_always_shows_denominator(self):
         assert format_rational(Fraction(1, 3)) == "1/3"
         assert format_rational(2) == "2/1"

@@ -18,6 +18,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
@@ -93,6 +94,10 @@ DECOMPOSE6_GOLDEN = {
 # sha256 of `decompose` stdout for golden_statistic(8, 4) under the K=4
 # Polya law, whose largest Gram system is 120 x 120; exits 0
 DECOMPOSE8_POLYA4_GOLDEN = "94a1bcfc5c3e2e48e6301185f81fadf0e069d303957065022f8732f6ab978a9d"
+# sha256 of `decompose` stdout for large_valued_statistic() under the K=4
+# Polya law: values up to +-10^4 over denominators up to 10^3 at order 7,
+# so the exact solutions are large; exits 0
+DECOMPOSE7_LARGE_GOLDEN = "f9ee04e4abc86048b8a05b1871a1be1b18fbd84af0a24bcbbcf98c13ae4b69dc"
 
 # name -> (simulate arguments, (exit code, sha256 of stdout)); the --steps
 # runs include a color that starts empty and a color of probability zero
@@ -131,6 +136,17 @@ def golden_statistic(order, colors):
         den = 1 + c[0] + 2 * c[1]
         values.append({"composition": list(c), "value": f"{num}/{den}"})
     return {"order": order, "K": colors, "values": values}
+
+
+def large_valued_statistic():
+    """An order-7 K=4 statistic with numerators up to +-10^4 and
+    denominators up to 10^3, drawn by a fixed seed."""
+    rng = random.Random(19)
+    values = [
+        {"composition": list(c), "value": f"{rng.randint(-10**4, 10**4)}/{rng.randint(1, 10**3)}"}
+        for c in compositions(7, 4)
+    ]
+    return {"order": 7, "K": 4, "values": values}
 
 
 def run_digest(argv):
@@ -189,6 +205,13 @@ def test_order8_decompose_digest(tmp_path):
     path.write_text(json.dumps(golden_statistic(8, 4)))
     argv = ["decompose", "--law", DECOMPOSE6_LAWS["polya4"], "--statistic", str(path)]
     assert run_digest(argv) == (0, DECOMPOSE8_POLYA4_GOLDEN)
+
+
+def test_large_valued_decompose_digest(tmp_path):
+    path = tmp_path / "statistic.json"
+    path.write_text(json.dumps(large_valued_statistic()))
+    argv = ["decompose", "--law", DECOMPOSE6_LAWS["polya4"], "--statistic", str(path)]
+    assert run_digest(argv) == (0, DECOMPOSE7_LARGE_GOLDEN)
 
 
 @pytest.mark.parametrize("name", sorted(SIMULATE_GOLDEN))

@@ -3,12 +3,24 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hoeffding.linalg import _integer_rows, nullspace, rank, row_echelon, solve, solve_spd
+from hoeffding import linalg
+from hoeffding.linalg import (
+    _integer_rows,
+    nullspace,
+    rank,
+    row_echelon,
+    solve,
+    solve_spd,
+    solve_symmetric,
+)
+
+P = 2**127 - 1
 
 
 def naive_rank(rows):
@@ -137,20 +149,24 @@ def test_empty_and_degenerate_shapes():
     assert solve_spd([], []) == []
 
 
-@given(st.integers(1, 8), st.integers(0, 4), st.integers())
-def test_solve_spd_matches_solve_on_weighted_grams(cols, extra, seed):
+def weighted_gram(rng, cols, extra):
     # G = A^T W A with A of full column rank and W a positive diagonal
     # whose entries all have different denominators, so the rows of G are
     # scaled by different lcms
-    rng = random.Random(seed)
     a = random_matrix(rng, cols + extra, cols)
     if rank(a) < cols:
         a += [[int(i == j) for j in range(cols)] for i in range(cols)]
     w = [rng.randint(1, 9) + Fraction(1, r + 2) for r in range(len(a))]
-    gram = [
+    return [
         [sum((wr * row[i] * row[j] for wr, row in zip(w, a)), Fraction(0)) for j in range(cols)]
         for i in range(cols)
     ]
+
+
+@given(st.integers(1, 8), st.integers(0, 4), st.integers())
+def test_solve_spd_matches_solve_on_weighted_grams(cols, extra, seed):
+    rng = random.Random(seed)
+    gram = weighted_gram(rng, cols, extra)
     b = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(cols)]
     x = solve_spd(gram, b)
     assert x == solve(gram, b)
@@ -171,3 +187,70 @@ def test_solve_spd_rejects_matrices_that_are_not_positive_definite(g):
 def test_solve_spd_rejects_unsymmetric_and_misshapen_input(g, b):
     with pytest.raises(ValueError, match="solve_spd needs"):
         solve_spd(g, b)
+
+
+def no_fallback():
+    # solve_symmetric must not hand these systems to solve_spd: a fault in
+    # its factor, lifting or scaling that the exact check rejects would
+    # otherwise still give the right answer through the fallback
+    return mock.patch.object(
+        linalg, "solve_spd", side_effect=AssertionError("fell back to solve_spd"))
+
+
+@given(st.integers(1, 8), st.integers(0, 4), st.integers(400, 600), st.integers())
+def test_solve_symmetric_matches_solve_spd_on_large_right_hand_sides(cols, extra, bits, seed):
+    # numerators of 400+ bits make solutions that need several lifting
+    # steps before the reconstruction passes the exact check
+    rng = random.Random(seed)
+    gram = weighted_gram(rng, cols, extra)
+    b = [
+        Fraction(rng.choice((-1, 1)) * rng.getrandbits(bits), rng.randint(1, 7))
+        for _ in range(cols)
+    ]
+    expected = solve_spd(gram, b)
+    with no_fallback():
+        assert solve_symmetric(gram, b) == expected
+
+
+@given(st.integers(1, 8), st.integers(0, 4), st.integers())
+def test_solve_symmetric_matches_solve_spd_on_small_right_hand_sides(cols, extra, seed):
+    rng = random.Random(seed)
+    gram = weighted_gram(rng, cols, extra)
+    b = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(cols)]
+    expected = solve_spd(gram, b)
+    with no_fallback():
+        assert solve_symmetric(gram, b) == expected
+
+
+@pytest.mark.parametrize("g,b", [
+    # the first pivot is 0 mod P, though G is positive definite
+    ([[P, 1], [1, 1]], [1, 2]),
+    # the first row's denominator d_1 = P has no inverse mod P
+    ([[Fraction(1, P), 0], [0, 1]], [1, 2]),
+])
+def test_solve_symmetric_falls_back_where_p_divides_a_pivot_or_a_denominator(g, b):
+    with mock.patch.object(linalg, "solve_spd", wraps=solve_spd) as spd:
+        x = solve_symmetric(g, b)
+    spd.assert_called_once_with(g, b)
+    assert x == solve_spd(g, b) == solve(g, b)
+
+
+def test_solve_symmetric_solves_indefinite_nonsingular_systems():
+    g, b = [[1, 2], [2, 1]], [1, Fraction(1, 2)]
+    with no_fallback():
+        x = solve_symmetric(g, b)
+    assert x == solve(g, b)
+    assert solve_symmetric([], []) == []
+
+
+@pytest.mark.parametrize("g,b,match", [
+    ([[1, 1], [1, 1]], [1, 2], "positive definite"),
+    ([[1, 2, 3], [2, 4, 6], [3, 6, 9]], [1, 2, 3], "positive definite"),
+    ([[2, 1], [0, 2]], [1, 1], "solve_symmetric needs a symmetric"),
+    ([[1, 0, 0], [0, 1, 0]], [1, 1], "solve_symmetric needs a square"),
+    ([[1]], [1, 2], "solve_symmetric needs one right-hand side"),
+])
+def test_solve_symmetric_rejects_singular_unsymmetric_and_misshapen_input(g, b, match):
+    # a singular G has a pivot 0 mod P, so solve_spd raises for it
+    with pytest.raises(ValueError, match=match):
+        solve_symmetric(g, b)
