@@ -6,7 +6,9 @@ writers cannot change an output without failing here.  A JSON law file
 must give the same bytes as the inline spec it encodes.  The `decompose`
 digests pin the layers, the kernel of each layer and the degeneracy
 witnesses, at order 3, for two K=4 laws at order 6, and for one K=4 law
-at order 8.  The deeper `oracle` digests pin the basis sizes of laws that
+at order 8; one more K=4 digest, at order 7, pins a statistic with large
+numerators and denominators, whose projections need several lifting
+steps of the modular Gram solve.  The deeper `oracle` digests pin the basis sizes of laws that
 pass at every order, so a faster oracle cannot change a verdict.  The `simulate` digests pin every drawn color of fixed urn
 trajectories and Monte Carlo tables, so a change to the draw cannot move a
 single ball unnoticed.  The deeper `verify` digests reach orders where
