@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 import traceback
@@ -33,6 +34,17 @@ def _parse_bool(text: str) -> bool:
     if lowered in ("false", "0", "no"):
         return False
     raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+
+
+def _parse_int(text: str) -> int:
+    # once stripped, -?[0-9]+ in ASCII digits, as parse_rational reads an
+    # integer: int() alone would also take '+1', '1_0' and other scripts'
+    # digits
+    stripped = text.strip()
+    if not re.fullmatch(r"-?[0-9]+", stripped):
+        raise argparse.ArgumentTypeError(
+            f"expected an integer such as -3 or 12, got {text!r}")
+    return int(stripped)
 
 
 def _load_law(spec: str) -> laws.ExchangeableLaw:
@@ -210,8 +222,8 @@ def _cmd_identity(args: argparse.Namespace) -> int:
 
 def _parse_int_vector(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x.strip()) for x in text.split(",") if x.strip())
-    except ValueError as exc:
+        return tuple(_parse_int(x) for x in text.split(",") if x.strip())
+    except argparse.ArgumentTypeError as exc:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
 
 
@@ -257,7 +269,7 @@ def _build_urn(args: argparse.Namespace) -> tuple[urnsim.UrnState, urnsim.UrnFun
     else:
         if args.pi is None or args.nu is None:
             raise ValueError("--urn hls needs --pi and --nu (or --initial)")
-        pi, nu = int(args.pi), int(args.nu)
+        pi, nu = args.pi, args.nu
         if pi < 1 or nu < 1:
             raise ValueError("urn construction needs integer pi, nu >= 1")
         if args.nu_split:
@@ -352,11 +364,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="exhaustive criterion sweep (exit 0 iff all values are 0)"
     )
     verify.add_argument("--law", required=True, help="law spec string or JSON file")
-    verify.add_argument("--n-max", type=int, required=True)
+    verify.add_argument("--n-max", type=_parse_int, required=True)
     verify.add_argument("--out", help="write the JSON report here (default stdout)")
     verify.add_argument(
         "--jobs",
-        type=int,
+        type=_parse_int,
         default=1,
         help="accepted for compatibility and ignored: the sweep runs in one "
         "process (must be >= 1; default 1)",
@@ -376,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "oracle", help="brute-force weak-independence check for n in [2, n-max]"
     )
     oracle.add_argument("--law", required=True)
-    oracle.add_argument("--n-max", type=int, required=True)
+    oracle.add_argument("--n-max", type=_parse_int, required=True)
     oracle.add_argument("--out")
     oracle.set_defaults(func=_cmd_oracle)
 
@@ -385,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     dec.add_argument("--law", required=True)
     dec.add_argument("--statistic", required=True, help="statistic JSON file")
-    dec.add_argument("--n", type=int, help="expected order (cross-checked)")
+    dec.add_argument("--n", type=_parse_int, help="expected order (cross-checked)")
     dec.add_argument("--out")
     dec.set_defaults(func=_cmd_decompose)
 
@@ -396,10 +408,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ident.add_argument("--pi", help="single pi (sommedentro; default: rational grid)")
     ident.add_argument("--nu", help="single nu (sommedentro; default: rational grid)")
-    ident.add_argument("--n-max", type=int)
-    ident.add_argument("--u-max", type=int)
-    ident.add_argument("--k-max", type=int)
-    ident.add_argument("--a-max", type=int)
+    ident.add_argument("--n-max", type=_parse_int)
+    ident.add_argument("--u-max", type=_parse_int)
+    ident.add_argument("--k-max", type=_parse_int)
+    ident.add_argument("--a-max", type=_parse_int)
     ident.add_argument("--out")
     ident.set_defaults(func=_cmd_identity)
 
@@ -407,17 +419,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--urn", required=True, choices=["polya", "constant", "hls"])
     sim.add_argument("--initial", help="comma-separated initial counts")
     sim.add_argument("--p", help="constant urn probabilities (comma-separated)")
-    sim.add_argument("--pi", help="hls: first-color weight (integer for urn counts)")
-    sim.add_argument("--nu", help="hls: remaining weight (integer for urn counts)")
+    sim.add_argument("--pi", type=_parse_int, help="hls: first-color weight (urn count)")
+    sim.add_argument("--nu", type=_parse_int, help="hls: remaining weight (urn count)")
     sim.add_argument("--alpha", help="hls ratios (comma-separated rationals)")
     sim.add_argument(
         "--nu-split",
         help="hls: how --nu splits over the other colors (default: all on color 2)",
     )
-    sim.add_argument("--steps", type=int, help="stream one trajectory of this length")
-    sim.add_argument("--n", type=int, help="prefix length for --samples mode")
-    sim.add_argument("--samples", type=int, help="number of independent prefixes")
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--steps", type=_parse_int, help="stream one trajectory of this length")
+    sim.add_argument("--n", type=_parse_int, help="prefix length for --samples mode")
+    sim.add_argument("--samples", type=_parse_int, help="number of independent prefixes")
+    sim.add_argument("--seed", type=_parse_int, default=0)
     sim.add_argument(
         "--compare-exact",
         action="store_true",
@@ -428,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("law-check", help="positivity/consistency sweep of a law")
     check.add_argument("--law", required=True)
-    check.add_argument("--n-max", type=int, required=True)
+    check.add_argument("--n-max", type=_parse_int, required=True)
     check.add_argument("--out")
     check.set_defaults(func=_cmd_law_check)
 
@@ -438,10 +450,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early, its choice and not a crash: point
+        # stdout at devnull so that the flush at exit stays quiet, and exit
+        # as a shell reports a writer ended by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception:
         print("internal error:", file=sys.stderr)
         traceback.print_exc()

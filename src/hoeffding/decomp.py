@@ -85,16 +85,6 @@ class _CompositionTable:
     def from_function(cls, order: int, colors: int, fn: Callable) :
         return cls(order, colors, {c: fn(c) for c in compositions(order, colors)})
 
-    @classmethod
-    def constant(cls, order: int, colors: int, value) :
-        v = parse_rational(value)
-        return cls(order, colors, {c: v for c in compositions(order, colors)})
-
-    @classmethod
-    def indicator(cls, comp: Sequence[int]) :
-        comp = Composition(comp)
-        return cls.from_function(comp.order, comp.colors, lambda c: 1 if c == comp else 0)
-
     def __call__(self, comp: Sequence[int]) -> Rational:
         key = comp if isinstance(comp, tuple) else tuple(comp)
         try:
@@ -124,26 +114,13 @@ class _CompositionTable:
     def __hash__(self):
         return hash((type(self).__name__, self.order, tuple(self.as_vector())))
 
-    def _binary(self, other, op):
+    def __add__(self, other):
         if type(self) is not type(other) or self.order != other.order or self.colors != other.colors:
             raise ValueError("operands must share type, order and colors")
         return type(self)(
             self.order, self.colors,
-            {c: op(v, other._values[c]) for c, v in self._values.items()},
+            {c: v + other._values[c] for c, v in self._values.items()},
         )
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def scale(self, factor):
-        f = parse_rational(factor)
-        return type(self)(self.order, self.colors, {c: f * v for c, v in self._values.items()})
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self._values.values())
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(order={self.order}, colors={self.colors})"
@@ -226,22 +203,23 @@ def _integer_products(*vectors: Sequence[Fraction]) -> tuple[list[int], int]:
 
 def _su_gram(
     matrix: Sequence[Sequence[int]], weights: Sequence[Fraction]
-) -> list[list[Fraction]]:
-    # Symmetric: fill a <= b and mirror.  Each entry is an integer sum
-    # over the rows where both columns are nonzero, on the weights' common
-    # denominator.
+) -> tuple[list[list[int]], int]:
+    # The Gram matrix M^T W M as integers over the weights' common
+    # denominator.  Symmetric: fill a <= b and mirror.  Each entry is an
+    # integer sum over the rows where both columns are nonzero.
     nums, den = _common_denominator(weights)
     ncols = len(matrix[0])
     support = [
         {r: mrow[a] for r, mrow in enumerate(matrix) if mrow[a]} for a in range(ncols)
     ]
-    gram = [[Fraction(0)] * ncols for _ in range(ncols)]
+    gram = [[0] * ncols for _ in range(ncols)]
     for a in range(ncols):
         col_a = {r: nums[r] * m for r, m in support[a].items()}
         for b in range(a, ncols):
-            acc = sum(col_a[r] * m for r, m in support[b].items() if r in col_a)
-            gram[a][b] = gram[b][a] = Fraction(acc, den)
-    return gram
+            gram[a][b] = gram[b][a] = sum(
+                col_a[r] * m for r, m in support[b].items() if r in col_a
+            )
+    return gram, den
 
 
 def _project_su(
@@ -253,15 +231,18 @@ def _project_su(
     # columns of matrix (the indicator U-statistics of one order), via the
     # normal equations.  The columns are independent and every class has
     # positive probability, so the Gram matrix is positive definite and
-    # linalg.solve_symmetric finds the one solution.  The right-hand side
-    # M^T W t is one integer sum per column over the weights' and the
-    # statistic's common denominators.
+    # linalg.solve_symmetric finds the one solution.  Over the weights'
+    # common denominator d_w and the statistic's d_t, the Gram matrix is
+    # G / d_w and the right-hand side M^T W t is r / (d_w d_t) with G and r
+    # integer, so the coefficients are the solution of G y = r over d_t.
+    gram, den_w = _su_gram(matrix, weights)
     prods, den = _integer_products(weights, tvec)
     rhs = [
-        Fraction(sum(mrow[a] * p for mrow, p in zip(matrix, prods) if mrow[a]), den)
+        sum(mrow[a] * p for mrow, p in zip(matrix, prods) if mrow[a])
         for a in range(len(matrix[0]))
     ]
-    return linalg.solve_symmetric(_su_gram(matrix, weights), rhs)
+    den_t = den // den_w
+    return [y / den_t for y in linalg.solve_symmetric(gram, rhs)]
 
 
 def decompose(
@@ -533,7 +514,7 @@ def sh_dims(law: ExchangeableLaw, n: int) -> list[int]:
     dims = []
     prev_rank = 0
     for k in range(n + 1):
-        rk = linalg.rank(_su_gram(_ustat_matrix(n, k, law.K), weights))
+        rk = linalg.rank(_su_gram(_ustat_matrix(n, k, law.K), weights)[0])
         dims.append(rk - prev_rank)
         prev_rank = rk
     return dims

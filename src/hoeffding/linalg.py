@@ -3,21 +3,18 @@
 Fraction-free (Bareiss) row elimination on integer-scaled matrices, with
 rank, null space and linear solves built on top.  Each row is scaled to
 integers by the lcm of its own denominators.  `solve` is the general
-solver: it pivots on the first nonzero entry of each column and reports an
-inconsistent system.  `solve_spd` is the solver for symmetric positive
-definite systems: it needs no pivot search and updates only the upper
-triangle and the right-hand side, since the minors below the diagonal
-follow from those above it.  Both back-substitute in integers and make one
-Fraction per coordinate at the end.
+solver: it pivots on the first nonzero entry of each column, reports an
+inconsistent system, back-substitutes in integers and makes one Fraction
+per coordinate at the end.
 
-`solve_symmetric` solves the Gram systems of `decomp`, whose Bareiss
-entries grow far larger than their solutions.  It factors G once modulo
-the prime 2^127 - 1 and lifts the solution P-adically (Dixon 1982), then
-rebuilds it by rational reconstruction and accepts it only after an exact
-integer check of D G x = D b.  Where the prime divides a pivot or a row
-denominator, or the lifting reaches the Hadamard bound unchecked, it hands
-the system to `solve_spd`.  All results are exact; there is no pivot-size
-heuristic because there is no rounding.
+`solve_symmetric` solves the integer Gram systems of `decomp`, whose
+Bareiss entries grow far larger than their solutions.  It factors G once
+modulo the prime 2^127 - 1 and lifts the solution P-adically (Dixon 1982),
+then rebuilds it by rational reconstruction and accepts it only after an
+exact integer check of G x = b.  Where the prime divides a pivot, or the
+lifting reaches the Hadamard bound unchecked, it hands the system to
+`solve` after a rank check that rejects a singular G.  All results are
+exact; there is no pivot-size heuristic because there is no rounding.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from typing import Optional, Sequence
 
 from .exactnum import _common_denominator
 
-__all__ = ["row_echelon", "rank", "nullspace", "solve", "solve_spd", "solve_symmetric"]
+__all__ = ["row_echelon", "rank", "nullspace", "solve", "solve_symmetric"]
 
 Matrix = Sequence[Sequence["Fraction | int"]]
 
@@ -128,110 +125,71 @@ def solve(a_rows: Matrix, b: Sequence["Fraction | int"]) -> Optional[list[Fracti
     return _back_substitute(ech, ncols_a, -1)[:ncols_a]
 
 
-def _check_square_symmetric(name: str, g_rows: list, b: Sequence) -> None:
-    n = len(g_rows)
-    if len(b) != n:
-        raise ValueError(f"{name} needs one right-hand side entry per row")
-    if any(len(row) != n for row in g_rows):
-        raise ValueError(f"{name} needs a square matrix")
-    if list(zip(*g_rows)) != list(map(tuple, g_rows)):
-        raise ValueError(f"{name} needs a symmetric matrix")
-
-
-def solve_spd(g_rows: Matrix, b: Sequence["Fraction | int"]) -> list[Fraction]:
-    """The exact solution of G x = b for a symmetric positive definite G.
-
-    Bareiss elimination on the rows of [G | b], each scaled by the lcm of
-    its own denominators d_i.  The minors of D G below the diagonal are
-    those above it times d_i / d_r, an exact division, so each step
-    updates only the upper triangle and b, with no pivot search.  The
-    pivots are the leading principal minors of D G, positive exactly when
-    G is positive definite (Sylvester's criterion), so a pivot <= 0 raises
-    ValueError.
-    """
-    g_rows = list(g_rows)
-    _check_square_symmetric("solve_spd", g_rows, b)
-    n = len(g_rows)
-    scaled = [_common_denominator([*row, rhs]) for row, rhs in zip(g_rows, b)]
-    m = [nums for nums, _ in scaled]
-    dens = [den for _, den in scaled]
-    prev = 1
-    for r in range(n):
-        row_r = m[r]
-        piv = row_r[r]
-        if piv <= 0:
-            raise ValueError("solve_spd needs a positive definite matrix")
-        for i in range(r + 1, n):
-            row_i = m[i]
-            fac = row_r[i] * dens[i] // dens[r]
-            row_i[i:] = [
-                (piv * a - fac * p) // prev for a, p in zip(row_i[i:], row_r[i:])
-            ]
-        prev = piv
-    # below the diagonal m still holds the scaled input, which the
-    # back-substitution never reads
-    return _back_substitute(Echelon(m, list(range(n)), n + 1), n, -1)[:n]
-
-
 # the Mersenne prime 2^127 - 1, the modulus of solve_symmetric's factorization
 _P = (1 << 127) - 1
 
 
-def solve_symmetric(g_rows: Matrix, b: Sequence["Fraction | int"]) -> list[Fraction]:
-    """The exact solution of G x = b for a symmetric nonsingular G.
+def solve_symmetric(g_rows: Sequence[Sequence[int]], b: Sequence[int]) -> list[Fraction]:
+    """The exact solution of G x = b for an integer symmetric nonsingular G.
 
-    Dixon's p-adic lifting on the rows of [G | b], each scaled by the lcm
-    of its own denominators d_i.  Row i times d_i^-1 mod P = 2^127 - 1 is
-    row i of G mod P, so G is factored once mod P on the upper triangle,
-    touching a row only where the pivot row is nonzero.  Each lifting step
-    solves for the next P-adic digit of x with that factor and divides the
-    residual by P; at steps 1, 2, 4, 8, ... and at the last one, x is
-    rebuilt by rational reconstruction and accepted only if D G x = D b
-    holds exactly.  Every pivot is nonzero mod P, so G is nonsingular and
-    the checked x is the solution.  A pivot or a d_i that vanishes mod P,
-    or a lifting that reaches the Hadamard bound without a checked x, hands
-    the system to solve_spd.
+    Dixon's p-adic lifting: G is factored once mod P = 2^127 - 1 on the
+    upper triangle, touching a row only where the pivot row is nonzero.
+    Each lifting step solves for the next P-adic digit of x with that
+    factor and divides the residual by P; at steps 1, 2, 4, 8, ... and at
+    the last one, x is rebuilt by rational reconstruction and accepted only
+    if G x = b holds exactly.  Every pivot is nonzero mod P, so G is
+    nonsingular and the checked x is the solution.  A pivot that vanishes
+    mod P, or a lifting that reaches the Hadamard bound without a checked
+    x, hands the system to solve after a rank check, so a singular G
+    raises ValueError.
     """
     g_rows = list(g_rows)
-    _check_square_symmetric("solve_symmetric", g_rows, b)
     n = len(g_rows)
-    scaled = [_common_denominator([*row, rhs]) for row, rhs in zip(g_rows, b)]
-    if any(den % _P == 0 for _, den in scaled):
-        return solve_spd(g_rows, b)
-    dinv = [pow(den, -1, _P) for _, den in scaled]
-    factor = _factor_mod_p([nums[:n] for nums, _ in scaled], dinv)
-    if factor is None:
-        return solve_spd(g_rows, b)
-    rows = [[(j, a) for j, a in enumerate(nums[:n]) if a] for nums, _ in scaled]
-    rhs = residual = [nums[n] for nums, _ in scaled]
-    # x and y are minors of [D G | D b] over det(D G), all at most the
-    # Hadamard bound H, so a modulus P^L > 2 H^2 reconstructs them
-    h2_bits = sum((sum(a * a for a in nums)).bit_length() for nums, _ in scaled)
-    cap = (h2_bits + 2) // 127 + 1
-    x_mod = [0] * n
-    modulus = 1
-    for step in range(1, cap + 1):
-        digit = _solve_mod_p(factor, [r * di % _P for r, di in zip(residual, dinv)])
-        x_mod = [x + modulus * y for x, y in zip(x_mod, digit)]
-        modulus *= _P
-        residual = [
-            (r - sum(a * digit[j] for j, a in row)) // _P for r, row in zip(residual, rows)
-        ]
-        if step & (step - 1) == 0 or step == cap:
-            x = _reconstruct(x_mod, modulus)
-            if x is not None and _satisfies(rows, rhs, *x):
-                nums, den = x
-                return [Fraction(v, den) for v in nums]
-    return solve_spd(g_rows, b)
+    if len(b) != n:
+        raise ValueError("solve_symmetric needs one right-hand side entry per row")
+    if any(len(row) != n for row in g_rows):
+        raise ValueError("solve_symmetric needs a square matrix")
+    if list(zip(*g_rows)) != list(map(tuple, g_rows)):
+        raise ValueError("solve_symmetric needs a symmetric matrix")
+    if not all(type(a) is int for row in [*g_rows, b] for a in row):
+        raise ValueError("solve_symmetric needs integer entries")
+    factor = _factor_mod_p(g_rows)
+    if factor is not None:
+        rows = [[(j, a) for j, a in enumerate(row) if a] for row in g_rows]
+        residual = list(b)
+        # x and y are minors of [G | b] over det(G), all at most the
+        # Hadamard bound H, so a modulus P^L > 2 H^2 reconstructs them
+        h2_bits = sum(
+            (sum(a * a for a in row) + c * c).bit_length() for row, c in zip(g_rows, b)
+        )
+        cap = (h2_bits + 2) // 127 + 1
+        x_mod = [0] * n
+        modulus = 1
+        for step in range(1, cap + 1):
+            digit = _solve_mod_p(factor, residual)
+            x_mod = [x + modulus * y for x, y in zip(x_mod, digit)]
+            modulus *= _P
+            residual = [
+                (r - sum(a * digit[j] for j, a in row)) // _P
+                for r, row in zip(residual, rows)
+            ]
+            if step & (step - 1) == 0 or step == cap:
+                x = _reconstruct(x_mod, modulus)
+                if x is not None and _satisfies(rows, b, *x):
+                    nums, den = x
+                    return [Fraction(v, den) for v in nums]
+    if rank(g_rows) < n:
+        raise ValueError("solve_symmetric needs a nonsingular matrix")
+    return solve(g_rows, b)
 
 
-def _factor_mod_p(rows: list[list[int]], dinv: list[int]):
+def _factor_mod_p(rows: list[list[int]]):
     # Symmetric elimination of G mod P on the upper triangle.  Returns,
     # per pivot row r, its nonzero entries right of the diagonal and the
     # pivot's inverse, or None if a pivot vanishes mod P.  Updates are
     # reduced mod P only when their row becomes the pivot row.
     n = len(rows)
-    m = [[a * di for a in row] for row, di in zip(rows, dinv)]
+    m = [list(row) for row in rows]
     factor = []
     for r in range(n):
         row_r = m[r]

@@ -685,3 +685,52 @@ class TestErrorChannel:
         assert code == 3 and out == ""
         assert err.startswith("internal error:\n")
         assert "Traceback" in err and "RuntimeError: broken on purpose" in err
+
+    def test_closed_stdout_exits_141_without_a_traceback(self):
+        # the reader takes one line and closes the pipe while the report is
+        # still being written: the reader's choice, not a crash
+        src = os.path.dirname(os.path.dirname(os.path.abspath(characterization.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hoeffding", "verify",
+             "--law", "hls:K=3,pi=1,nu=2,alpha=1/2", "--n-max", "6"],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert first == b"{\n" and err == b""
+
+
+HLS_URN = ["simulate", "--urn", "hls", "--alpha", "1/2", "--steps", "2"]
+
+
+class TestIntegerFlags:
+    @pytest.mark.parametrize("value", ["+1", "1_0", "٣"])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--law", "hls:K=3,pi=1,nu=2,alpha=1/2", "--n-max", "{}"],
+        ["identity", "sommedentro", "--n-max", "{}"],
+        ["simulate", "--urn", "polya", "--initial", "1,1", "--steps", "2", "--seed", "{}"],
+        ["simulate", "--urn", "polya", "--initial", "1,{},3", "--steps", "2"],
+        [*HLS_URN, "--pi", "{}", "--nu", "2"],
+        [*HLS_URN, "--pi", "1", "--nu", "{}"],
+        [*HLS_URN, "--pi", "1", "--nu", "2", "--nu-split", "{},1"],
+    ], ids=["type-int", "identity", "seed", "initial", "pi", "nu", "nu-split"])
+    def test_only_ascii_digits_are_integers(self, argv, value):
+        # int() would read each of these as the number it spells
+        code, out, err = run_cli([a.format(value) for a in argv])
+        assert code == 2 and out == ""
+        assert "expected" in err and "integer" in err and value in err
+
+    @pytest.mark.parametrize("spaced, plain", [
+        (["verify", "--law", "hls:K=3,pi=1,nu=2,alpha=1/2", "--n-max", " 3 "],
+         ["verify", "--law", "hls:K=3,pi=1,nu=2,alpha=1/2", "--n-max", "3"]),
+        (["simulate", "--urn", "polya", "--initial", " 7 ,1", "--steps", "4"],
+         ["simulate", "--urn", "polya", "--initial", "7,1", "--steps", "4"]),
+        ([*HLS_URN, "--pi", " 7 ", "--nu", "2"], [*HLS_URN, "--pi", "7", "--nu", "2"]),
+    ], ids=["n-max", "initial", "pi"])
+    def test_surrounding_whitespace_is_stripped(self, spaced, plain):
+        # as parse_rational strips it
+        assert run_cli(spaced) == run_cli(plain)
+        assert run_cli(plain)[0] == 0
