@@ -220,15 +220,24 @@ def _cmd_identity(args: argparse.Namespace) -> int:
     return 0 if result.holds else 1
 
 
+def _vector_entries(text: str) -> list[str]:
+    # an empty or blank entry is an input error: '1,,2' is not two colors
+    entries = text.split(",")
+    if not all(x.strip() for x in entries):
+        raise ValueError(f"empty entry in comma-separated list {text!r}")
+    return entries
+
+
 def _parse_int_vector(text: str) -> tuple[int, ...]:
+    entries = _vector_entries(text)
     try:
-        return tuple(_parse_int(x) for x in text.split(",") if x.strip())
+        return tuple(_parse_int(x) for x in entries)
     except argparse.ArgumentTypeError as exc:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
 
 
 def _parse_rational_vector(text: str) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(x.strip()) for x in text.split(",") if x.strip())
+    return tuple(parse_rational(x) for x in _vector_entries(text))
 
 
 # the family flags each urn reads (all take --initial); the others are
@@ -245,25 +254,25 @@ def _build_urn(args: argparse.Namespace) -> tuple[urnsim.UrnState, urnsim.UrnFun
         if getattr(args, flag) is not None and flag not in _URN_FLAGS[args.urn]:
             raise ValueError(f"--urn {args.urn} does not take --{flag.replace('_', '-')}")
     if args.urn == "polya":
-        if not args.initial:
+        if args.initial is None:
             raise ValueError("--urn polya needs --initial counts")
         return urnsim.UrnState(_parse_int_vector(args.initial)), urnsim.IdentityUrn()
     if args.urn == "constant":
-        if not args.p:
+        if args.p is None:
             raise ValueError("--urn constant needs --p probabilities")
         p = _parse_rational_vector(args.p)
-        if args.initial:
+        if args.initial is not None:
             state = urnsim.UrnState(_parse_int_vector(args.initial))
         else:
             state = urnsim.UrnState((1,) * len(p))
         return state, urnsim.ConstantUrn(p)
-    if not args.alpha:
+    if args.alpha is None:
         raise ValueError("--urn hls needs --alpha ratios")
     alpha = _parse_rational_vector(args.alpha)
     fn = urnsim.HLSUrn(alpha)
     colors = len(alpha) + 2
-    if args.initial:
-        if args.pi is not None or args.nu is not None or args.nu_split:
+    if args.initial is not None:
+        if args.pi is not None or args.nu is not None or args.nu_split is not None:
             raise ValueError("--initial excludes --pi, --nu and --nu-split")
         state = urnsim.UrnState(_parse_int_vector(args.initial))
     else:
@@ -272,7 +281,7 @@ def _build_urn(args: argparse.Namespace) -> tuple[urnsim.UrnState, urnsim.UrnFun
         pi, nu = args.pi, args.nu
         if pi < 1 or nu < 1:
             raise ValueError("urn construction needs integer pi, nu >= 1")
-        if args.nu_split:
+        if args.nu_split is not None:
             split = _parse_int_vector(args.nu_split)
             if len(split) != colors - 1 or sum(split) != nu:
                 raise ValueError(

@@ -8,9 +8,13 @@ counter uniform at the cumulative weights reduced by their gcd, which are
 the exact rational thresholds of the drawn probabilities, so a (seed,
 sample, step) triple always yields the same color on every platform and
 under any execution order.  A state's cut (those thresholds, their total
-and the counter's rejection limit) depends on the counts alone, so
-`empirical_cylinder` computes each state's cut once and shares it across
-all of its samples.
+and the counter's rejection limit) depends on the counts alone.
+`empirical_cylinder` walks a graph of urn states, one node per count
+vector, with each state's cut made on the first draw from it and the
+state each drawn color leads to linked on first use; a sample is one walk
+from the initial state, and its class is where the walk ends.  A single
+`simulate` trajectory never revisits a state, so it keeps no graph.  Both
+run the same draw loop.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import NamedTuple, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .exactnum import Composition, Rational, RationalLike, compositions, parse_rational
 from .exactnum import _common_denominator
@@ -77,9 +81,11 @@ def _cut(weights: Sequence[int]) -> _Cut:
     # the reduced w_j / W have lcm denominator W / g and numerators w_j / g
     # over it: the exact rational thresholds of the drawn probabilities
     g = math.gcd(*weights)
-    thresholds = tuple(accumulate(w // g for w in weights))
+    thresholds = tuple(accumulate(weights if g == 1 else [w // g for w in weights]))
     bound = thresholds[-1]
-    return _Cut(bound, _SPACE - _SPACE % bound, thresholds)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__, about a
+    # tenth of the cost of a cut
+    return tuple.__new__(_Cut, (bound, _SPACE - _SPACE % bound, thresholds))
 
 
 class _Urn:
@@ -162,7 +168,7 @@ class HLSUrn(_Urn):
     def weights(self, counts: Sequence[int]) -> Sequence[int]:
         # the probabilities (y_1, alpha_t (1 - y_1), ...) times D * sum(counts)
         rest = sum(counts) - counts[0]
-        return (counts[0] * self._scale, *(s * rest for s in self._shares))
+        return (counts[0] * self._scale, *[s * rest for s in self._shares])
 
     def law(self, counts: Sequence[int]) -> ExchangeableLaw:
         return HLS(len(self.alpha) + 2, counts[0], sum(counts) - counts[0], self.alpha)
@@ -171,37 +177,53 @@ class HLSUrn(_Urn):
 UrnFunction = Union[IdentityUrn, ConstantUrn, HLSUrn]
 
 
-class _CutTable:
-    """An urn function that computes each state's cut once.  One table
-    serves every trajectory of one `empirical_cylinder` call, which visits
-    at most C(n + K - 1, K) states; a single trajectory never revisits a
-    state, so `simulate` alone keeps no table."""
+class _Node:
+    """One urn state of a walk: its counts, its cut once a draw is made
+    from it, and the state each drawn color leads to once linked."""
 
-    def __init__(self, fn: UrnFunction) -> None:
-        self._fn = fn
-        self._cuts: dict[tuple[int, ...], _Cut] = {}
+    __slots__ = ("counts", "cut", "children")
 
-    def cut(self, counts: Sequence[int]) -> _Cut:
-        key = tuple(counts)
-        try:
-            return self._cuts[key]
-        except KeyError:
-            made = self._cuts[key] = self._fn.cut(counts)
-            return made
+    def __init__(self, counts: Sequence[int], children: Sequence[_Node | None]) -> None:
+        self.counts = counts
+        self.cut: _Cut | None = None
+        self.children = children
 
 
-def _draw(cut: _Cut, prefix: str, step: int) -> int:
-    # the counter value for nonce 0, 1, ... until one falls below the
-    # rejection limit; its residue mod the bound picks the first color
-    # whose cumulative threshold exceeds it
-    bound, limit, thresholds = cut
-    nonce = 0
-    while True:
-        digest = hashlib.sha256(f"{prefix}{step}|{nonce}".encode()).digest()
-        value = int.from_bytes(digest, "big")
-        if value < limit:
-            return bisect_right(thresholds, value % bound)
-        nonce += 1
+def _walk(
+    node: _Node, fn: UrnFunction, prefix: bytes, tails: Iterable[bytes],
+    child: Callable[[_Node, int], _Node],
+) -> _Node:
+    # the one draw loop.  Step k hashes prefix + f"{k}|{nonce}" for nonce
+    # 0, 1, ... until the counter value falls below the state's rejection
+    # limit; the k-th tail is the nonce-0 end, f"{k}|0".  The value's residue
+    # mod the bound picks the first color whose cumulative threshold
+    # exceeds it; a color not yet linked from the state asks child(node, j)
+    sha256, from_bytes = hashlib.sha256, int.from_bytes
+    for step, tail in enumerate(tails):
+        cut = node.cut
+        if cut is None:
+            cut = node.cut = fn.cut(node.counts)
+        bound, limit, thresholds = cut
+        message = prefix + tail
+        nonce = 0
+        while (value := from_bytes(sha256(message).digest(), "big")) >= limit:
+            nonce += 1
+            message = prefix + b"%d|%d" % (step, nonce)
+        j = bisect_right(thresholds, value % bound)
+        node = node.children[j] or child(node, j)
+    return node
+
+
+def _tails(steps: int) -> Iterable[bytes]:
+    # the nonce-0 ends f"{k}|0" of steps 0, ..., steps - 1, made lazily
+    return map(b"%d|0".__mod__, range(steps))
+
+
+def _check_colors(node: _Node, fn: UrnFunction) -> None:
+    # the first draw's cut, made here to check the urn function's colors
+    node.cut = fn.cut(node.counts)
+    if (emitted := len(node.cut.thresholds)) != len(node.counts):
+        raise ValueError(f"urn function emits {emitted} colors, state has {len(node.counts)}")
 
 
 def simulate(
@@ -218,17 +240,42 @@ def simulate(
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
+    # a lone trajectory never revisits a state, so it keeps no graph: its
+    # one node links no color and moves to each next state in place
     counts = list(initial.counts)
-    cut = fn.cut(counts)  # the first draw's, checked here
-    if (emitted := len(cut.thresholds)) != len(counts):
-        raise ValueError(f"urn function emits {emitted} colors, state has {len(counts)}")
-    prefix = f"{seed}|{sample_index}|"
-    out = []
-    for step in range(steps):
-        j = _draw(fn.cut(counts) if step else cut, prefix, step)
+    node = _Node(counts, (None,) * len(counts))
+    _check_colors(node, fn)
+    out: list[int] = []
+
+    def advance(node: _Node, j: int) -> _Node:
         out.append(j)
         counts[j] += 1
+        node.cut = None
+        return node
+
+    _walk(node, fn, f"{seed}|{sample_index}|".encode(), _tails(steps), advance)
     return out
+
+
+class _Graph:
+    """The states of one `empirical_cylinder` call, one node per counts.
+    A state two paths reach is one node, cut once; the call visits at most
+    C(n + K, K) states."""
+
+    def __init__(self) -> None:
+        self._nodes: dict[tuple[int, ...], _Node] = {}
+
+    def node(self, counts: tuple[int, ...]) -> _Node:
+        try:
+            return self._nodes[counts]
+        except KeyError:
+            made = self._nodes[counts] = _Node(counts, [None] * len(counts))
+            return made
+
+    def child(self, node: _Node, j: int) -> _Node:
+        counts = node.counts
+        made = node.children[j] = self.node((*counts[:j], counts[j] + 1, *counts[j + 1:]))
+        return made
 
 
 @dataclass(frozen=True)
@@ -251,15 +298,23 @@ def empirical_cylinder(
         raise ValueError("samples must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    table = _CutTable(fn)
-    colors = len(initial.counts)
-    tallies: dict[tuple[int, ...], int] = {}
+    graph = _Graph()
+    root = graph.node(initial.counts)
+    _check_colors(root, fn)
+    # one walk per sample; its class is the final state's counts minus
+    # the initial counts
+    finals: dict[_Node, int] = {}
+    child = graph.child
+    tails = list(_tails(n))
     for s in range(samples):
-        seq = simulate(initial, table, n, seed, sample_index=s)
-        key = tuple([seq.count(j) for j in range(colors)])
-        tallies[key] = tallies.get(key, 0) + 1
+        node = _walk(root, fn, f"{seed}|{s}|".encode(), tails, child)
+        finals[node] = finals.get(node, 0) + 1
+    tallies = {
+        tuple([c - c0 for c, c0 in zip(node.counts, initial.counts)]): count
+        for node, count in finals.items()
+    }
     out = {}
-    for comp in compositions(n, colors):
+    for comp in compositions(n, len(initial.counts)):
         count = tallies.get(comp, 0)
         estimate = Fraction(count, samples)
         stderr = math.sqrt(float(estimate) * (1.0 - float(estimate)) / samples)

@@ -734,3 +734,21 @@ class TestIntegerFlags:
         # as parse_rational strips it
         assert run_cli(spaced) == run_cli(plain)
         assert run_cli(plain)[0] == 0
+
+
+class TestVectorFlags:
+    @pytest.mark.parametrize("argv, a, b", [
+        (["simulate", "--urn", "polya", "--initial", "{}", "--steps", "2"], "1", "2"),
+        (["simulate", "--urn", "constant", "--p", "{}", "--steps", "2"], "1/2", "1/2"),
+        (["simulate", "--urn", "hls", "--alpha", "{}", "--pi", "1", "--nu", "2",
+          "--steps", "2"], "1/4", "1/4"),
+        ([*HLS_URN, "--pi", "1", "--nu", "2", "--nu-split", "{}"], "1", "1"),
+    ], ids=["initial", "p", "alpha", "nu-split"])
+    def test_empty_entries_are_input_errors(self, argv, a, b):
+        # each list is valid once its empty entries are dropped, as they
+        # once were; an empty value is not an absent flag either
+        assert run_cli([x.format(f"{a},{b}") for x in argv])[0] == 0
+        for value in (f"{a},,{b}", f"{a},{b},", f",{a},{b}", " , ", ""):
+            code, out, err = run_cli([x.format(value) for x in argv])
+            assert code == 2 and out == ""
+            assert "empty entry" in err and repr(value) in err

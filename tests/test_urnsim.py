@@ -1,11 +1,14 @@
 """Urn simulation: state validation, the integer weights of the three urn
-functions, the integer draw against exact rational thresholds, the draw
-with per-state cuts against a copy of the draw that rebuilt them each step,
-determinism of the hash-counter draws, and frequency agreement with exact
-class probabilities at loose Monte Carlo tolerances."""
+functions, the integer draw against exact rational thresholds, the walks
+of `simulate` and `empirical_cylinder` (per-state cuts, a shared state
+graph) against a copy of the draw that rebuilt the cut each step,
+determinism of the hash-counter draws, the memory of a lone trajectory,
+and frequency agreement with exact class probabilities at loose Monte
+Carlo tolerances."""
 
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -23,7 +26,6 @@ from hoeffding.urnsim import (
     IdentityUrn,
     UrnState,
     _cut,
-    _draw,
     empirical_cylinder,
     simulate,
     within_four_sigma,
@@ -140,9 +142,21 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(UrnState((1, 1)), IdentityUrn(), -1, seed=0)
 
+    def test_lone_trajectory_keeps_no_graph(self):
+        # a state graph kept along one trajectory would hold all 20,001
+        # states and their cuts, several megabytes
+        tracemalloc.start()
+        try:
+            simulate(UrnState((1, 1, 1)), IdentityUrn(), 20000, seed=9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
 
 # The draw that rebuilt the weights, their gcd, the cumulative cut and the
-# rejection limit at every step: the reference for `_draw` and `simulate`.
+# rejection limit at every step: the reference for the draw loop that
+# `simulate` and `empirical_cylinder` share.
 
 def reference_counter_uniform(seed, sample, step, bound, nonces=None):
     # uniform in [0, bound) from a hash counter; rejection keeps it unbiased
@@ -208,7 +222,14 @@ def test_integer_draw_matches_fraction_thresholds(weights, scale, seed, sample, 
     # zeros and a common factor in the weights must not move any draw
     weights = [w * scale for w in weights]
     expected = fraction_draw(weights, seed, sample, step)
-    assert _draw(_cut(weights), f"{seed}|{sample}|", step) == expected
+
+    class FixedWeights:
+        # every state draws at the same weights
+        def cut(self, counts):
+            return _cut(weights)
+
+    state = UrnState((1,) * len(weights))
+    assert simulate(state, FixedWeights(), step + 1, seed, sample)[step] == expected
     assert weights[expected] > 0
 
 
@@ -316,13 +337,26 @@ class TestDrawMatchesReference:
         monkeypatch.setattr(urnsim, "hashlib", SimpleNamespace(sha256=recording))
         got = [simulate(state, IdentityUrn(), 3, 5, s) for s in range(12)]
         nonces = []
-        assert got == [reference_simulate(state, IdentityUrn(), 3, 5, s, nonces)
-                       for s in range(12)]
+        expected = [reference_simulate(state, IdentityUrn(), 3, 5, s, nonces)
+                    for s in range(12)]
+        assert got == expected
         assert max(nonces) >= 1
-        assert hashed == [
+        messages = [
             f"5|{s}|{step}|{nonce}".encode()
             for s in range(12) for step in range(3)
             for nonce in range(nonces[3 * s + step] + 1)]
+        assert hashed == messages
+        # the walks over one shared state graph hash the same messages in
+        # the same order, and tally the same classes
+        hashed.clear()
+        table = empirical_cylinder(state, IdentityUrn(), 3, 12, 5)
+        assert hashed == messages
+        tallies = {}
+        for seq in expected:
+            key = tuple(seq.count(j) for j in range(2))
+            tallies[key] = tallies.get(key, 0) + 1
+        assert {comp: cell.count for comp, cell in table.items() if cell.count} \
+            == tallies
 
 
 class TestWithinFourSigma:
