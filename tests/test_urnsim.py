@@ -10,7 +10,6 @@ import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -334,7 +333,7 @@ class TestDrawMatchesReference:
             hashed.append(data)
             return hashlib.sha256(data)
 
-        monkeypatch.setattr(urnsim, "hashlib", SimpleNamespace(sha256=recording))
+        monkeypatch.setattr(urnsim, "_sha256", recording)
         got = [simulate(state, IdentityUrn(), 3, 5, s) for s in range(12)]
         nonces = []
         expected = [reference_simulate(state, IdentityUrn(), 3, 5, s, nonces)
