@@ -6,8 +6,9 @@ order k is an exact map on the compositions of k, a symmetric statistic
 one on the compositions of n.  The module provides U-statistics, the
 nested spaces SU_k they span, exact orthogonal projections onto those
 spaces (the Hoeffding decomposition), complete-degeneracy checks, and a
-brute-force weak-independence oracle that works directly on enumerated
-sequences.
+brute-force weak-independence oracle that counts sequences block by block
+and finds its kernels by back substitution, independent of the closed
+forms of `characterization`.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from operator import add
+from operator import add, mul
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import linalg
@@ -25,17 +25,12 @@ from .exactnum import (
     Composition,
     Rational,
     _common_denominator,
+    class_size,
     compositions,
     format_rational,
     parse_rational,
 )
-from .laws import (
-    ExchangeableLaw,
-    _read_json_file,
-    class_prob,
-    cylinder_prob,
-    predictive_prob,
-)
+from .laws import ExchangeableLaw, _read_json_file
 
 __all__ = [
     "SymmetricKernel",
@@ -179,7 +174,7 @@ def u_statistic(phi: SymmetricKernel, n: int) -> SymmetricStatistic:
 
 
 def _class_weights(law: ExchangeableLaw, n: int) -> list[Fraction]:
-    return [class_prob(law, i) for i in compositions(n, law.K)]
+    return [class_size(i) * law.cylinder(i) for i in compositions(n, law.K)]
 
 
 def inner_product(
@@ -341,10 +336,15 @@ def is_completely_degenerate(law: ExchangeableLaw, phi: SymmetricKernel) -> Dege
         raise ValueError("complete degeneracy concerns kernels of order >= 1")
     if phi.colors != law.K:
         raise ValueError("kernel and law must share one alphabet")
+    cylinder = law.cylinder
     for h in compositions(phi.order - 1, law.K):
+        ph = cylinder(h)
+        if ph == 0:
+            raise ValueError("conditioning class has zero probability")
         acc = Fraction(0)
         for j in range(law.K):
-            acc += predictive_prob(law, h, j) * phi(h.increment(j))
+            target = h.increment(j)
+            acc += cylinder(target) / ph * phi(target)
         if acc != 0:
             return DegeneracyCheck(False, (h, acc))
     return DegeneracyCheck(True, None)
@@ -378,82 +378,131 @@ def xi_constraint_matrix(law: ExchangeableLaw, n: int) -> list[list[Fraction]]:
         row = [Fraction(0)] * len(comps_n)
         for j in range(law.K):
             target = h.increment(j)
-            row[col[target]] += cylinder_prob(law, target)
+            row[col[target]] += law.cylinder(target)
         rows.append(row)
     return rows
 
 
 def xi_nullspace_basis(law: ExchangeableLaw, n: int) -> list[SymmetricKernel]:
-    """A basis (by exact null-space solve) of the order-n kernels killed by
-    conditioning on all but the first coordinate."""
-    comps_n = compositions(n, law.K)
-    basis = linalg.nullspace(xi_constraint_matrix(law, n))
-    return [SymmetricKernel(n, law.K, dict(zip(comps_n, vec))) for vec in basis]
+    """A basis of the order-n kernels killed by conditioning on all but the
+    first coordinate: linalg.nullspace(xi_constraint_matrix(law, n)),
+    vector for vector, by back substitution.
 
-
-def _counts(seq: Sequence[int], colors: int) -> Composition:
-    tally = [0] * colors
-    for s in seq:
-        tally[s] += 1
-    return Composition(tally)
+    With every P(i) > 0, row h has its first nonzero at the column of
+    h + e_1, and those columns increase with the rows: the rows are already
+    in echelon form, and the free columns are the i with i_1 = 0.  In
+    x(i) = P(i) phi(i) the rows read sum_j x(h + e_j) = 0, which is free
+    of the law, so the basis vector of a free column f is its integer null
+    vector psi_f of those 0/1 rows, scaled: phi_f(i) = psi_f(i) P(f) / P(i).
+    A law with some P(i) <= 0 at order n raises ValueError.
+    """
+    if n < 1:
+        raise ValueError("xi_nullspace_basis needs n >= 1")
+    comps = compositions(n, law.K)
+    probs = [law.cylinder(i) for i in comps]
+    for i, p in zip(comps, probs):
+        if p <= 0:
+            raise ValueError(
+                f"xi_nullspace_basis needs P(i) > 0, got {format_rational(p)} at {tuple(i)}"
+            )
+    basis = []
+    for f, psi in _xi_free_vectors(n, law.K):
+        vec = [Fraction(0)] * len(comps)
+        for j, s in psi:
+            vec[j] = probs[f] * s / probs[j]
+        basis.append(SymmetricKernel(n, law.K, dict(zip(comps, vec))))
+    return basis
 
 
 @lru_cache(maxsize=None)
-def _count_census(colors: int, length: int) -> tuple[tuple[Composition, int], ...]:
+def _xi_free_vectors(n: int, colors: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    # Per free column f of the 0/1 rows sum_j x(h + e_j) = 0 (the i with
+    # i_1 = 0, in column order), the nonzero entries (column, value) of
+    # its integer null vector psi_f: psi_f(f) = 1, every other free entry
+    # 0, and each pivot h + e_1 solved from its row, last row first, by
+    # x(h + e_1) = -sum_{j >= 2} x(h + e_j).  Those columns come later in
+    # the order than h + e_1, so they are free or solved already.
+    col = {c: idx for idx, c in enumerate(compositions(n, colors))}
+    rows = [
+        (col[h.increment(0)], [col[h.increment(j)] for j in range(1, colors)])
+        for h in reversed(compositions(n - 1, colors))
+    ]
+    vectors = []
+    for f, c in enumerate(col):
+        if c[0]:
+            continue
+        psi = [0] * len(col)
+        psi[f] = 1
+        for pivot, others in rows:
+            psi[pivot] = -sum(psi[j] for j in others)
+        vectors.append((f, tuple((j, s) for j, s in enumerate(psi) if s)))
+    return tuple(vectors)
+
+
+@lru_cache(maxsize=None)
+def _count_census(colors: int, length: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     # Multiplicity of each count vector among all colors^length sequences,
-    # obtained by enumeration rather than by a multinomial formula.
-    tally: dict[Composition, int] = {}
-    for seq in product(range(colors), repeat=length):
-        c = _counts(seq, colors)
-        tally[c] = tally.get(c, 0) + 1
+    # in order, counted without a multinomial formula: a sequence is a
+    # shorter one plus one more color, so each count vector of length - 1
+    # passes its multiplicity on to its colors extensions.
+    if length == 0:
+        return (((0,) * colors, 1),)
+    tally: dict[tuple[int, ...], int] = {}
+    for c, mult in _count_census(colors, length - 1):
+        for j in range(colors):
+            e = c[:j] + (c[j] + 1,) + c[j + 1:]
+            tally[e] = tally.get(e, 0) + mult
     return tuple(sorted(tally.items()))
 
 
 @lru_cache(maxsize=None)
 def _block_split_census(
     colors: int, length: int, first_block: int
-) -> dict[Composition, tuple[tuple[Composition, Composition, int], ...]]:
+) -> dict[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]]:
     # For each class z of order `length`: how the class's sequences split
-    # their counts between the first `first_block` coordinates and the rest.
-    tally: dict[Composition, dict[tuple[Composition, Composition], int]] = {}
-    for seq in product(range(colors), repeat=length):
-        a = _counts(seq[:first_block], colors)
-        b = _counts(seq[first_block:], colors)
-        z = a.merge(b)
-        inner = tally.setdefault(z, {})
-        inner[(a, b)] = inner.get((a, b), 0) + 1
-    return {
-        z: tuple((a, b, c) for (a, b), c in sorted(d.items()))
-        for z, d in tally.items()
-    }
+    # their counts between the first `first_block` coordinates and the
+    # rest, as (a, b, mult) in order.  The two blocks' positions are
+    # independent, so mult is the product of a's and b's multiplicities in
+    # their own censuses.
+    tally: dict[tuple[int, ...], list] = {}
+    for a, ma in _count_census(colors, first_block):
+        for b, mb in _count_census(colors, length - first_block):
+            tally.setdefault(tuple(map(add, a, b)), []).append((a, b, ma * mb))
+    return {z: tuple(splits) for z, splits in tally.items()}
 
 
 def _oracle_rows(
     law: ExchangeableLaw, n: int, u: int
-) -> list[tuple[Composition, tuple[tuple[int, int], ...], Fraction]]:
+) -> list[tuple[Composition, list[int], Fraction]]:
     # One kernel-independent integer row per class z of order n-1, in
-    # order, over the columns compositions(n, K): entry (a, b, mult)
+    # order, dense over the columns compositions(n, K): entry (a, b, mult)
     # of the block-split census of z and fresh class (w, fmult) of u draws
-    # add mult * fmult * P(w+z) at the column of w+a, with the P(w+z) of
-    # one z as integer numerators over their common denominator D_z.  A
-    # row's dot product with a kernel phi is D_z * P(z) * total times the
+    # add mult * fmult * P(w+z) at the column of w+a, with every P of order
+    # n-1+u as an integer numerator over their one common denominator D.
+    # A row's dot product with a kernel phi is D * P(z) * total times the
     # symmetrized shift expectation of phi over the class, total being the
     # census size of z; that scale is kept with the row.
     cylinder, colors = law.cylinder, law.K
     col = {c: j for j, c in enumerate(compositions(n, colors))}
+    targets = compositions(n - 1 + u, colors)
+    nums, den = _common_denominator(map(cylinder, targets))
+    num_of = dict(zip(targets, nums))
     fresh = _count_census(colors, u)
+    # the columns of w + a for each fresh class w, per first-block class a
+    cols = {
+        a: [col[tuple(map(add, w, a))] for w, _ in fresh] for a in compositions(n - u, colors)
+    }
     census = _block_split_census(colors, n - 1, n - u)
     rows = []
     for z in compositions(n - 1, colors):
-        nums, den = _common_denominator(cylinder(tuple(map(add, w, z))) for w, _ in fresh)
-        coefs: dict[int, int] = {}
+        weights = [fmult * num_of[tuple(map(add, w, z))] for w, fmult in fresh]
+        row = [0] * len(col)
         total = 0
         for a, _b, mult in census[z]:
             total += mult
-            for (w, fmult), num in zip(fresh, nums):
-                j = col[tuple(map(add, w, a))]
-                coefs[j] = coefs.get(j, 0) + mult * fmult * num
-        rows.append((z, tuple(coefs.items()), den * total * cylinder(z)))
+            for j, g in zip(cols[a], weights):
+                row[j] += mult * g
+        rows.append((z, row, den * total * cylinder(z)))
     return rows
 
 
@@ -476,16 +525,18 @@ class OracleResult:
 def weak_independence_oracle(law: ExchangeableLaw, n: int) -> OracleResult:
     """Brute-force weak-independence check at order n.
 
-    Builds a basis of the conditioned-to-zero kernels by exact null-space
-    solve, then for every basis kernel and every shift u in [2, n] forms
-    the conditional expectation over u fresh coordinates, symmetrized over
-    each conditioning class z, and reports the first class where it fails
-    to vanish (kernel index, then u, then z).  The fresh draws and the
-    block splits of each class are still counted by enumerating raw
-    sequences, with no closed-form weight.  None of the coefficients
-    depends on the kernel, so each (n, u) builds one integer row per class
-    once, shared by every basis kernel, and a kernel costs one integer dot
-    product per row.  The cylinder probabilities come from the law's own
+    Builds a basis of the conditioned-to-zero kernels by back substitution
+    on the constraint rows, then for every basis kernel and every shift u
+    in [2, n] forms the conditional expectation over u fresh coordinates,
+    symmetrized over each conditioning class z, and reports the first class
+    where it fails to vanish (kernel index, then u, then z).  The fresh
+    draws and the block splits of each class are counted sequences, built
+    up one color at a time and multiplied across the two independent
+    blocks, with no closed-form weight.  None of the coefficients depends
+    on the kernel, so each (n, u) builds one dense integer row per class
+    once, over one common denominator of the order's P(i), shared by every
+    basis kernel; a kernel costs one integer dot product per row over its
+    nonzero entries.  The cylinder probabilities come from the law's own
     memo, so a caller checking several orders reads each one once.
     """
     if n < 2:
@@ -494,12 +545,14 @@ def weak_independence_oracle(law: ExchangeableLaw, n: int) -> OracleResult:
     comps = compositions(n, law.K)
     rows: dict[int, list] = {}
     for idx, phi in enumerate(basis):
-        vec, vden = _common_denominator(phi.as_vector(comps))
+        support = [(j, v) for j, v in enumerate(phi.as_vector(comps)) if v]
+        cols = [j for j, _ in support]
+        vec, vden = _common_denominator(v for _, v in support)
         for u in range(2, n + 1):
             if u not in rows:
                 rows[u] = _oracle_rows(law, n, u)
             for z, row, scale in rows[u]:
-                num = sum(coef * vec[j] for j, coef in row)
+                num = sum(map(mul, vec, map(row.__getitem__, cols)))
                 if num:
                     witness = OracleWitness(idx, u, z, Fraction(num, vden) / scale, phi)
                     return OracleResult(False, len(basis), witness)

@@ -432,15 +432,16 @@ def check_consistency(law: ExchangeableLaw, n_max: int) -> ConsistencyReport:
         }
         return ConsistencyReport(spec, n_max, False, failure)
 
+    cylinder = law.cylinder
     for n in range(1, n_max + 1):
         total = Fraction(0)
         for i in compositions(n, law.K):
-            p = cylinder_prob(law, i)
+            p = cylinder(i)
             if p <= 0:
                 return fail("positivity", n, i, format_rational(p))
             total += class_size(i) * p
             extended = sum(
-                (cylinder_prob(law, i.increment(j)) for j in range(law.K)),
+                (cylinder(i.increment(j)) for j in range(law.K)),
                 Fraction(0),
             )
             if extended != p:

@@ -274,6 +274,23 @@ class TestDecompose:
         assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--law", "polya:alpha=1,2,3", "--statistic", None],
+    ["decompose", "--law", "mixture:w=1/2,1/2;p1=1/2,1/4,1/4;p2=1/4,1/4,1/2",
+     "--statistic", None],
+    ["oracle", "--law", "hls:K=4,pi=1,nu=2,alpha=1/4,1/4", "--n-max", "4"],
+    ["oracle", "--law", "mixture:w=1/2,1/2;p1=1/2,1/4,1/4;p2=1/4,1/4,1/2", "--n-max", "3"],
+])
+def test_decompose_and_oracle_read_the_law_memo(tmp_path, argv):
+    # neither command goes through the law-keyed cache of the public
+    # probability helpers, which would keep the law alive
+    argv = [str(statistic_file(tmp_path)) if a is None else a for a in argv]
+    before = laws._cylinder.cache_info()
+    code, out, _ = run_cli(argv)
+    assert code in (0, 1) and json.loads(out)
+    assert laws._cylinder.cache_info() == before
+
+
 class TestIdentity:
     def test_each_identity_exits_zero(self):
         for name in ("sommedentro", "star-vandermonde", "pascal-star",

@@ -6,9 +6,11 @@ weak-independence witnesses for the mixture law are pinned as regression
 fixtures.
 """
 
+import gc
 import json
 import math
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -49,7 +51,13 @@ from hoeffding.decomp import (
 )
 from hoeffding.exactnum import Composition, compositions
 from hoeffding.characterization import verify_hd
-from hoeffding.laws import cylinder_prob, format_law, parse_law, predictive_prob
+from hoeffding.laws import (
+    check_consistency,
+    cylinder_prob,
+    format_law,
+    parse_law,
+    predictive_prob,
+)
 
 IID_REF = parse_law("iid:p=1/2,1/3,1/6")
 POLYA_REF = parse_law("polya:alpha=1,2,3")
@@ -57,6 +65,8 @@ HLS3 = parse_law("hls:K=3,pi=1,nu=2,alpha=1/2")
 HLS3B = parse_law("hls:K=3,pi=3/2,nu=5/2,alpha=1/3")
 HLS4 = parse_law("hls:K=4,pi=1,nu=2,alpha=1/4,1/4")
 MIX = parse_law("mixture:w=1/2,1/2;p1=1/2,1/4,1/4;p2=1/4,1/4,1/2")
+
+HLS5 = parse_law("hls:K=5,pi=2,nu=3,alpha=1/5,1/4,1/3")
 
 K3_LAWS = [IID_REF, POLYA_REF, HLS3, HLS3B, MIX]
 ALL_LAWS = K3_LAWS + [HLS4]
@@ -457,6 +467,31 @@ class TestXiNullspace:
         assert len(rows) == math.comb(4, 2)
         assert len(rows[0]) == math.comb(5, 2)
 
+    @pytest.mark.parametrize("law,n", [
+        pytest.param(law, n, id=f"{name}-n{n}")
+        for name, law in zip(("iid", "polya", "hls3", "hls3b", "mixture", "hls4", "hls5"),
+                             ALL_LAWS + [HLS5])
+        for n in range(1, 4 if law is HLS5 else 6)
+    ])
+    def test_back_substitution_is_the_generic_nullspace(self, law, n):
+        # the back-substituted basis against Bareiss on the constraint
+        # rows, vector for vector
+        comps = compositions(n, law.K)
+        basis = [phi.as_vector(comps) for phi in xi_nullspace_basis(law, n)]
+        assert basis == linalg.nullspace(xi_constraint_matrix(law, n))
+
+    @pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1, 7)])
+    def test_a_nonpositive_cylinder_is_refused(self, bad):
+        # with some P(i) <= 0 the rows need not be in echelon form: the
+        # basis is refused rather than computed from the wrong pivots
+        def cylinder(i):
+            return bad if tuple(i) == (1, 1, 0) else HLS3.cylinder(i)
+
+        law = SimpleNamespace(K=3, cylinder=cylinder)
+        with pytest.raises(ValueError, match=r"needs P\(i\) > 0, got .* at \(1, 1, 0\)"):
+            xi_nullspace_basis(law, 2)
+        assert len(xi_nullspace_basis(law, 3)) == 4
+
 
 class TestWeakIndependenceOracle:
     @pytest.mark.parametrize("law", [IID_REF, POLYA_REF, HLS3, HLS3B, HLS4])
@@ -526,8 +561,9 @@ class TestWeakIndependenceOracle:
         # compare every value, also where the census has several splits
         comps = compositions(n, MIX.K)
         rows = {u: _oracle_rows(MIX, n, u) for u in range(2, n + 1)}
+        assert all(len(row) == len(comps) for u in rows for _, row, _ in rows[u])
         values = [
-            (idx, u, z, sum((coef * phi(comps[j]) for j, coef in row), Fraction(0)) / scale)
+            (idx, u, z, sum((coef * phi(c) for c, coef in zip(comps, row)), Fraction(0)) / scale)
             for idx, phi in enumerate(xi_nullspace_basis(MIX, n))
             for u in range(2, n + 1)
             for z, row, scale in rows[u]
@@ -536,10 +572,44 @@ class TestWeakIndependenceOracle:
         assert any(v != 0 and max(z) < n - 1 for _, _, z, v in values)
 
 
+def enumerated_count_census(colors, length):
+    # the multiplicity of each count vector among all colors^length
+    # sequences, by enumerating them
+    tally = {}
+    for seq in product(range(colors), repeat=length):
+        c = counts_of(seq, colors)
+        tally[c] = tally.get(c, 0) + 1
+    return tuple(sorted(tally.items()))
+
+
+def enumerated_block_split_census(colors, length, first_block):
+    # per class z, how its sequences split their counts between the first
+    # first_block coordinates and the rest, by enumerating the sequences
+    tally = {}
+    for seq in product(range(colors), repeat=length):
+        a = counts_of(seq[:first_block], colors)
+        b = counts_of(seq[first_block:], colors)
+        inner = tally.setdefault(a.merge(b), {})
+        inner[(a, b)] = inner.get((a, b), 0) + 1
+    return {
+        z: tuple((a, b, c) for (a, b), c in sorted(d.items()))
+        for z, d in tally.items()
+    }
+
+
+@pytest.mark.parametrize("colors", [2, 3, 4])
+def test_counted_censuses_equal_the_enumerated_ones(colors):
+    for length in range(8):
+        assert _count_census(colors, length) == enumerated_count_census(colors, length)
+        for first in range(length + 1):
+            counted = _block_split_census(colors, length, first)
+            assert counted == enumerated_block_split_census(colors, length, first)
+
+
 def shift_expectation_table(law, phi, n, u):
     # f(a, b): E[phi(u fresh draws pooled with a) | conditioning counts
     # a + b], one Fraction per (a, b), rebuilt for every kernel
-    fresh = _count_census(law.K, u)
+    fresh = enumerated_count_census(law.K, u)
     out = {}
     for a in compositions(n - u, law.K):
         for b in compositions(u - 1, law.K):
@@ -559,7 +629,7 @@ def per_kernel_values(law, n):
     for idx, phi in enumerate(xi_nullspace_basis(law, n)):
         for u in range(2, n + 1):
             table = shift_expectation_table(law, phi, n, u)
-            census = _block_split_census(law.K, n - 1, n - u)
+            census = enumerated_block_split_census(law.K, n - 1, n - u)
             for z in compositions(n - 1, law.K):
                 num = sum((mult * table[(a, b)] for a, b, mult in census[z]), Fraction(0))
                 total = sum(mult for _, _, mult in census[z])
@@ -573,6 +643,41 @@ def per_kernel_oracle(law, n):
             witness = OracleWitness(idx, u, z, value, basis[idx])
             return OracleResult(False, len(basis), witness)
     return OracleResult(True, len(basis), None)
+
+
+def _run_consistency(law):
+    assert check_consistency(law, 3).passed
+
+
+def _run_decompose(law):
+    decompose(law, 3, random_statistic(3, law.K, random.Random(5)))
+
+
+def _run_degeneracy(law):
+    phi = random_kernel(2, law.K, random.Random(9))
+    assert not is_completely_degenerate(law, phi).degenerate
+
+
+def _run_oracle(law):
+    weak_independence_oracle(law, 3)
+
+
+@pytest.mark.parametrize("family", ["hls", "mixture"])
+@pytest.mark.parametrize("run", [_run_consistency, _run_decompose, _run_degeneracy, _run_oracle])
+def test_a_dropped_law_is_freed(run, family):
+    # these paths read P(i) from the law's own memo, which goes with the
+    # law; the law-keyed cache behind cylinder_prob would keep it alive.
+    # That cache finds an equal law it already holds, so each case uses
+    # parameters no other test uses.
+    t = 11 + [_run_consistency, _run_decompose, _run_degeneracy, _run_oracle].index(run)
+    law = parse_law(f"hls:K=3,pi={t}/7,nu=13/5,alpha=2/{t}" if family == "hls" else
+                    f"mixture:w=1/2,1/2;p1=1/2,1/4,1/4;p2=1/{t},1/4,{3 * t - 4}/{4 * t}")
+    run(law)
+    assert law._cylinders
+    ref = weakref.ref(law)
+    del law
+    gc.collect()
+    assert ref() is None
 
 
 class TestShDims:
