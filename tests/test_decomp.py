@@ -65,7 +65,6 @@ HLS3 = parse_law("hls:K=3,pi=1,nu=2,alpha=1/2")
 HLS3B = parse_law("hls:K=3,pi=3/2,nu=5/2,alpha=1/3")
 HLS4 = parse_law("hls:K=4,pi=1,nu=2,alpha=1/4,1/4")
 MIX = parse_law("mixture:w=1/2,1/2;p1=1/2,1/4,1/4;p2=1/4,1/4,1/2")
-
 HLS5 = parse_law("hls:K=5,pi=2,nu=3,alpha=1/5,1/4,1/3")
 
 K3_LAWS = [IID_REF, POLYA_REF, HLS3, HLS3B, MIX]
