@@ -1,8 +1,8 @@
 """Exact arithmetic for exchangeable sequences over finite alphabets:
-law families with closed-form cylinder probabilities, Hoeffding
-decompositions of symmetric statistics, and the combinatorial criterion
-for Hoeffding decomposability, all over rational numbers so that the
-expected zeros are exact zeros.
+law families whose cylinder probabilities are products of their
+predictive rules, Hoeffding decompositions of symmetric statistics, and
+the combinatorial criterion for Hoeffding decomposability, all over
+rational numbers so that the expected zeros are exact zeros.
 
 The package exports the four entry points of the README's Library
 section; everything else lives in the submodules (``exactnum``, ``laws``,

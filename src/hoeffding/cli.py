@@ -302,6 +302,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError("pass exactly one of --steps or --samples")
     if args.steps is not None and (args.n is not None or args.compare_exact):
         raise ValueError("--n and --compare-exact need --samples, not --steps")
+    if args.samples is not None and args.samples < 0:
+        raise ValueError("--samples must be >= 0")
     state, fn = _build_urn(args)
 
     if args.steps is not None:

@@ -430,6 +430,17 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out)["estimates"] == []
 
+    @pytest.mark.parametrize("extra", [[], ["--compare-exact"]])
+    def test_negative_samples_are_refused_before_any_work(self, monkeypatch, extra):
+        def refuse(*args, **kwargs):
+            raise AssertionError("urn built for a negative sample count")
+
+        monkeypatch.setattr(cli, "_build_urn", refuse)
+        code, out, err = run_cli(
+            ["simulate", "--urn", "hls", "--alpha", "1/2", "--pi", "1", "--nu", "2",
+             "--samples", "-1", "--n", "2", *extra])
+        assert (code, out, err) == (2, "", "error: --samples must be >= 0\n")
+
     def test_zero_samples_check_the_prefix_length(self):
         code, out, err = run_cli(
             ["simulate", "--urn", "constant", "--p", "1/2,1/2",

@@ -543,14 +543,15 @@ class TestWeakIndependenceOracle:
         # verify and the oracle read one memo of P(i) on the law: after a
         # sweep to n_max = 3 (orders 2..5), the oracle at n = 3 reads
         # nothing new, and at n = 2 only the order-1 classes that scale its
-        # rows, which no criterion value reads
+        # rows, which no criterion value reads; a path-product law already
+        # holds them, from the walks down to the classes the sweep read
         law = parse_law(format_law(law))
         verify_hd(law, 3)
         swept = set(law._cylinders)
         shared = [weak_independence_oracle(law, 3)]
         assert set(law._cylinders) == swept
         shared.insert(0, weak_independence_oracle(law, 2))
-        assert set(law._cylinders) - swept == set(compositions(1, law.K))
+        assert set(law._cylinders) == swept | set(compositions(1, law.K))
         fresh = [weak_independence_oracle(parse_law(format_law(law)), n) for n in (2, 3)]
         assert shared == fresh
 

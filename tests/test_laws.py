@@ -1,19 +1,26 @@
 """Law families checked against independently derived probabilities.
 
-Polya values are re-derived as sequential draw products (the urn chain
-rule), HLS values with integer parameters as polynomial moments of the
-driving weight obtained by termwise integration of y^a (1-y)^b.  Neither
-path touches rising factorials.
+The laws compute P(i) as a product of predictive probabilities along a
+path.  The independent reference is `closed_form`: products of powers,
+rising factorials and Beta moments, with no predictive rule.  HLS values
+with integer parameters are also re-derived as polynomial moments of the
+driving weight, by termwise integration of y^a (1-y)^b.  Polya values are
+also re-derived as sequential draw products (the urn chain rule), which is
+now the same algorithm as the code's, so only `closed_form` checks it.
 """
 
+import gc
 import json
 import math
 import pickle
 import random
+import weakref
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoeffding.exactnum import Composition, compositions
 from hoeffding.laws import (
@@ -377,8 +384,8 @@ MEMO_SPECS = [
 
 
 class TestCylinderMemo:
-    """Each family caches the factors of its formula on the instance; the
-    values must not depend on what the cache already holds."""
+    """Each law memoizes P(i) on the instance; the values must not depend
+    on what the memo already holds."""
 
     @pytest.mark.parametrize("spec", MEMO_SPECS)
     def test_values_do_not_depend_on_the_fill_order(self, spec):
@@ -413,7 +420,12 @@ class TestCylinderMemo:
         for i in compositions(5, law.K):
             p = law.cylinder(Composition(i))
             assert law.cylinder(tuple(i)) is p
-        assert len(law._cylinders) == len(compositions(4, law.K)) + len(compositions(5, law.K))
+        # one entry per class: the seed P(0, ..., 0) = 1, the classes read
+        # and, for a path-product law, every class on their walks down
+        read = set(compositions(4, law.K)) | set(compositions(5, law.K))
+        walked = {(0,) * law.K} if isinstance(law, MixtureIID) else \
+            {i for n in range(4) for i in compositions(n, law.K)}
+        assert set(law._cylinders) == read | walked
 
     @pytest.mark.parametrize("spec", MEMO_SPECS)
     def test_a_filled_memo_pickles_back(self, spec):
@@ -428,6 +440,85 @@ class TestCylinderMemo:
             # the restored memo computes new entries from the restored law
             i = compositions(6, back.K)[-1]
             assert back.cylinder(i) == closed_form(back, i)
+
+
+def positive_fractions(size):
+    return st.lists(st.fractions(min_value=0, max_value=5, max_denominator=7).filter(bool),
+                    min_size=size, max_size=size)
+
+
+@st.composite
+def random_laws(draw):
+    """A law of one of the four families with drawn rational parameters."""
+    family = draw(st.sampled_from(("iid", "polya", "hls", "mixture")))
+    colors = draw(st.integers(3 if family == "hls" else 2, 5))
+
+    def simplex(size):
+        mass = draw(positive_fractions(size))
+        return tuple(x / sum(mass) for x in mass)
+
+    if family == "iid":
+        return IID(simplex(colors))
+    if family == "polya":
+        return Polya(tuple(draw(positive_fractions(colors))))
+    if family == "hls":
+        pi, nu = draw(positive_fractions(2))
+        return HLS(colors, pi, nu, simplex(colors - 1)[:-1])
+    w = draw(st.fractions(min_value=0, max_value=1, max_denominator=9)
+             .filter(lambda x: 0 < x < 1))
+    return MixtureIID((w, 1 - w), (simplex(colors), simplex(colors)))
+
+
+class TestPathProduct:
+    """Each law's memo is filled by walks over its predictive rule; the
+    closed forms above are the independent reference."""
+
+    @settings(max_examples=40)
+    @given(random_laws(), st.randoms(use_true_random=False))
+    def test_any_fill_order_gives_the_closed_form(self, law, rng):
+        comps = [i for n in range(7) for i in compositions(n, law.K)]
+        rng.shuffle(comps)
+        filled = {i: law.cylinder(i) for i in comps}
+        for i in comps:
+            assert filled[i] == law.cylinder(i) == closed_form(law, i), (law, i)
+
+    @settings(max_examples=20)
+    @given(random_laws())
+    def test_consistency_through_order_five(self, law):
+        assert check_consistency(law, 5).passed
+
+    def test_deep_classes_on_a_fresh_law(self):
+        # 3,000 steps down to the seed: the walk is a loop, not a recursion
+        half = Fraction(1, 2)
+        assert IID((half, half)).cylinder((1500, 1500)) == Fraction(1, 2**3000)
+        assert Polya((1, 1)).cylinder((0, 3000)) == Fraction(1, 3001)
+
+    def test_only_classes_of_the_law_are_walked(self):
+        for bad in ((1, -1, 0), (1, 0), (1, 0, 0, 0)):
+            with pytest.raises(ValueError):
+                HLS3.cylinder(bad)
+
+
+HELPER_CALLS = {
+    "cylinder_prob": lambda law: cylinder_prob(law, (1, 1, 0)),
+    "class_prob": lambda law: class_prob(law, (1, 1, 0)),
+    "predictive_prob": lambda law: predictive_prob(law, (1, 0, 1), 2),
+    "conditional_block_prob": lambda law: conditional_block_prob(law, 1, 2, (1, 0, 0), (1, 1, 0)),
+}
+
+
+@pytest.mark.parametrize("helper", list(HELPER_CALLS))
+def test_a_dropped_law_is_freed_after_each_helper(helper):
+    # the helpers read the law's own memo, which goes with the law. A
+    # cache that already held an equal law would hide a kept reference, so
+    # each case uses parameters no other test uses.
+    t = 17 + list(HELPER_CALLS).index(helper)
+    law = parse_law(f"hls:K=3,pi={t}/9,nu=19/7,alpha=3/{t}")
+    assert HELPER_CALLS[helper](law) > 0
+    ref = weakref.ref(law)
+    del law
+    gc.collect()
+    assert ref() is None
 
 
 def test_cylinder_prob_accepts_plain_tuples_and_compositions():

@@ -279,26 +279,29 @@ def positive_urns(draw):
     return tuple(counts), fn
 
 
-def path_product(fn, counts, i):
+def path_product(fn, counts, path):
     """P(i) from the urn itself: the product of w_j / sum(w) over the draws
-    of one path from counts to counts + i, all of color 0 first."""
+    j of one path from counts, in the path's order."""
     h = list(counts)
     out = Fraction(1)
-    for j, e in enumerate(i):
-        for _ in range(e):
-            w = fn.weights(h)
-            out *= Fraction(w[j], sum(w))
-            h[j] += 1
+    for j in path:
+        w = fn.weights(h)
+        out *= Fraction(w[j], sum(w))
+        h[j] += 1
     return out
 
 
-@given(positive_urns())
-def test_urn_law_is_the_path_product(urn):
+@given(positive_urns(), st.randoms(use_true_random=False))
+def test_urn_law_is_the_path_product(urn, rng):
+    # the colors of each path come in a drawn order, so the product must
+    # not depend on the path either
     counts, fn = urn
     law = fn.law(counts)
     for n in range(6):
         for i in compositions(n, len(counts)):
-            assert law.cylinder(i) == path_product(fn, counts, i), (counts, i)
+            path = [j for j, e in enumerate(i) for _ in range(e)]
+            rng.shuffle(path)
+            assert law.cylinder(i) == path_product(fn, counts, path), (counts, i, path)
 
 
 class TestDrawMatchesReference:
