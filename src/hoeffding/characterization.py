@@ -1,13 +1,15 @@
 """Combinatorial criterion for Hoeffding decomposability.
 
-The centerpiece is characterization_sum, an alternating double sum over
-coherent splits of a conditioning class and over fresh-draw allocations,
-whose vanishing at every index tuple is equivalent to weak independence
-of the law.  verify_hd sweeps it exhaustively up to a depth.  The index
-m enters only through a star multinomial, whose generating function is a
-power of (1 + x_1 + ... + x_{K-2}), so the values for all kernel indices m
-of one (n, u, z) are the coefficients of one polynomial, evaluated by
-Horner's rule on integers.  The module also carries
+The centerpiece is verify_hd, an exhaustive sweep up to a depth of the
+paper's criterion: an alternating double sum over coherent splits of a
+conditioning class and over fresh-draw allocations, whose vanishing at
+every index tuple (n, u, z, m) is equivalent to weak independence of the
+law.  The index m enters only through a star multinomial, whose
+generating function is a power of (1 + x_1 + ... + x_{K-2}), so the
+values for all kernel indices m of one (n, u, z) are the coefficients of
+one polynomial, evaluated by Horner's rule on integers.  The literal
+per-tuple sum, which the sweep is checked against, is
+characterization_sum in tests/reference.py.  The module also carries
 the supporting cast: a closed-form basis of the conditioned-to-zero
 kernel space, coherent split enumeration, canonical symmetrization, and
 the Beta-function and star-binomial identities that make the HLS case
@@ -39,12 +41,7 @@ from .exactnum import (
     multinomial_star,
     parse_rational,
 )
-from .laws import (
-    ExchangeableLaw,
-    conditional_block_prob,
-    cylinder_prob,
-    format_law,
-)
+from .laws import ExchangeableLaw, cylinder_prob, format_law
 
 __all__ = [
     "xi_dimension",
@@ -53,7 +50,6 @@ __all__ = [
     "xi_basis",
     "coherent_splits",
     "symmetrize_bisym",
-    "characterization_sum",
     "VerificationEntry",
     "VerificationReport",
     "verify_hd",
@@ -182,56 +178,6 @@ def symmetrize_bisym(
     if den == 0:
         raise ValueError("empty coherent range")
     return num / den
-
-
-def characterization_sum(
-    law: ExchangeableLaw, n: int, u: int, z: Sequence[int], m: Sequence[int]
-) -> Rational:
-    """One criterion value: zero at every (n, u, z, m) iff the law is
-    Hoeffding decomposable (given nondegenerate layers).
-
-    Outer sum over coherent splits k of z with sign (-1)^{k_1}; inner sum
-    over allocations q of up to u fresh draws to the first K-1 colors with
-    sign (-1)^{q_1}, a star-multinomial factor on k_1+q_1 against
-    m - (k+q) tails, and the conditional probability of reaching counts
-    z+q from counts k+q with u-1 draws.  verify_hd regroups the same sum
-    to share it across m; this per-tuple form is its reference.
-    """
-    colors = law.K
-    if colors < 3:
-        raise ValueError(_K2_HINT)
-    if not 2 <= u <= n:
-        raise ValueError(f"need 2 <= u <= n, got u={u}, n={n}")
-    z = Composition(z)
-    if z.colors != colors or z.order != n - 1:
-        raise ValueError(f"z must be a {colors}-color composition of {n - 1}")
-    m = _validate_m(m, n, colors)
-
-    total = Fraction(0)
-    for k in coherent_splits(n - 1, n - u, z):
-        ka_full = Composition((*k, (n - u) - sum(k)))
-        outer = multinomial(n - u, k)
-        if k[0] % 2:
-            outer = -outer
-        inner = Fraction(0)
-        for a in range(u + 1):
-            for q in compositions(a, colors - 1):
-                star = multinomial_star(
-                    k[0] + q[0],
-                    tuple(m[t] - k[t + 1] - q[t + 1] for t in range(colors - 2)),
-                )
-                if star == 0:
-                    continue
-                q_full = Composition((*q, u - a))
-                prob = conditional_block_prob(
-                    law, n, u, ka_full.merge(q_full), z.merge(q_full)
-                )
-                if prob == 0:
-                    continue
-                term = multinomial(u, q) * star * prob
-                inner += -term if q[0] % 2 else term
-        total += outer * inner
-    return total
 
 
 @dataclass(frozen=True)
@@ -373,9 +319,10 @@ _ZERO = Fraction(0)
 def _group_values(
     law: ExchangeableLaw, n: int, u: int, z: Composition
 ) -> tuple[Rational, ...]:
-    """characterization_sum(law, n, u, z, m) for every m in
+    """The criterion value at (n, u, z, m) for every m in
     xi_index_set(n, K), in that order, as the coefficients of one
-    polynomial in r = K-2 variables.
+    polynomial in r = K-2 variables; the per-tuple characterization_sum
+    of tests/reference.py is its reference.
 
     One walk over the coherent splits k and fresh-draw allocations q sums
     the m-independent weights

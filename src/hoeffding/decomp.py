@@ -385,8 +385,9 @@ def xi_constraint_matrix(law: ExchangeableLaw, n: int) -> list[list[Fraction]]:
 
 def xi_nullspace_basis(law: ExchangeableLaw, n: int) -> list[SymmetricKernel]:
     """A basis of the order-n kernels killed by conditioning on all but the
-    first coordinate: linalg.nullspace(xi_constraint_matrix(law, n)),
-    vector for vector, by back substitution.
+    first coordinate: the generic null space of xi_constraint_matrix(law,
+    n) (nullspace in tests/reference.py), vector for vector, by back
+    substitution.
 
     With every P(i) > 0, row h has its first nonzero at the column of
     h + e_1, and those columns increase with the rows: the rows are already

