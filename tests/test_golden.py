@@ -9,7 +9,8 @@ witnesses, at order 3, for two K=4 laws at order 6, and for one K=4 law
 at order 8; one more K=4 digest, at order 7, pins a statistic with large
 numerators and denominators, whose projections need several lifting
 steps of the modular Gram solve.  The deeper `oracle` digests pin the basis sizes of laws that
-pass at every order, so a faster oracle cannot change a verdict.  The `simulate` digests pin every drawn color of fixed urn
+pass at every order and the witnesses of a K=4 and a K=2 law that fail at
+every order, so a faster oracle cannot change a verdict or a witness.  The `simulate` digests pin every drawn color of fixed urn
 trajectories and Monte Carlo tables, so a change to the draw cannot move a
 single ball unnoticed.  The deeper `verify` digests reach orders where
 the criterion's kernel index m has two or three entries and where the
@@ -53,11 +54,22 @@ GOLDEN = {
     ("mixture", "oracle"): (1, "bcff59b653d4a00326f6cc92f76041f4f65d089099822c22f629f0aa112d1ddd"),
 }
 
-# law -> (--n-max, sha256 of `oracle` stdout) for laws that pass; all exit 0
+# name -> (law, --n-max, (exit code, sha256 of `oracle` stdout)); the two
+# failing laws pin a witness kernel at every order, and the K=2 laws a basis
+# of one kernel
 ORACLE_GOLDEN = {
-    "hls3": (6, "12eace6c151b7aa92f206765bd4e32eeea9a7b27d869dabb6427334425ac3783"),
-    "hls4": (5, "040f4ffb6e40a7e0e6e44611a6b703335ba60b9ceba9666533bd948c02347837"),
-    "polya": (6, "840de1524109ba37c7dd13d86b4e0c47f7b2b555fef9d34273972af6a56b056b"),
+    "hls3": (LAWS["hls3"], 6, (0, "12eace6c151b7aa92f206765bd4e32eeea9a7b27d869dabb6427334425ac3783")),
+    "hls4": (LAWS["hls4"], 5, (0, "040f4ffb6e40a7e0e6e44611a6b703335ba60b9ceba9666533bd948c02347837")),
+    "polya": (LAWS["polya"], 6, (0, "840de1524109ba37c7dd13d86b4e0c47f7b2b555fef9d34273972af6a56b056b")),
+    "mixture4": (
+        "mixture:w=1/2,1/2;p1=1/2,1/4,1/8,1/8;p2=1/4,1/4,1/4,1/4", 5,
+        (1, "053177b0047e7c6fa832383e0a52450deb72a81c90357aec70799dcee1cb8db2")),
+    "polya2": (
+        "polya:alpha=1,3/2", 6,
+        (0, "10d41f290927121030fbfc9c7cb6df6c1dd7eecdebf1956f97e72416efc94899")),
+    "mixture2": (
+        "mixture:w=1/2,1/2;p1=1/2,1/2;p2=1/4,3/4", 6,
+        (1, "ed28acec06c5225bd2d4842fd6bfd70572dbbcfcb51ad45209377aa5f3d57f8b")),
 }
 
 # law -> sha256 of `decompose` stdout for golden_statistic(3, K); all exit 0
@@ -180,9 +192,8 @@ def test_deep_verify_digest(name):
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GOLDEN))
 def test_oracle_digest(name):
-    n_max, digest = ORACLE_GOLDEN[name]
-    argv = ["oracle", "--law", LAWS[name], "--n-max", str(n_max)]
-    assert run_digest(argv) == (0, digest)
+    law, n_max, expected = ORACLE_GOLDEN[name]
+    assert run_digest(["oracle", "--law", law, "--n-max", str(n_max)]) == expected
 
 
 @pytest.mark.parametrize("name", sorted(DECOMPOSE_GOLDEN))
