@@ -7,8 +7,9 @@ one on the compositions of n.  The module provides U-statistics, the
 nested spaces SU_k they span, exact orthogonal projections onto those
 spaces (the Hoeffding decomposition), complete-degeneracy checks, and a
 brute-force weak-independence oracle that counts sequences block by block
-and finds its kernels by back substitution, independent of the closed
-forms of `characterization`.
+and reduces each conditioning class's row against the constraints that
+cut out its kernels, independent of the closed forms of
+`characterization`.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "is_completely_degenerate",
     "degenerate_kernel_for",
     "xi_constraint_matrix",
-    "xi_nullspace_basis",
     "OracleWitness",
     "OracleResult",
     "weak_independence_oracle",
@@ -64,6 +64,16 @@ class _CompositionTable:
             raise ValueError("order must be non-negative")
         if colors < 1:
             raise ValueError("need at least one color")
+        # refuse a short table before enumerating its grid: count its
+        # C(order + k, k) compositions over k + 1 colors only up to the
+        # number listed
+        grid, k = 1, 1
+        while order and k < colors and grid <= len(values):
+            grid, k = grid * (order + k) // k, k + 1
+        if grid > len(values):
+            raise ValueError(
+                f"missing values: {len(values)} listed, fewer than the compositions"
+                f" of {order} into {colors} colors")
         complete: dict[Composition, Fraction] = {}
         for comp in compositions(order, colors):
             if comp not in values:
@@ -383,61 +393,34 @@ def xi_constraint_matrix(law: ExchangeableLaw, n: int) -> list[list[Fraction]]:
     return rows
 
 
-def xi_nullspace_basis(law: ExchangeableLaw, n: int) -> list[SymmetricKernel]:
-    """A basis of the order-n kernels killed by conditioning on all but the
-    first coordinate: the generic null space of xi_constraint_matrix(law,
-    n) (nullspace in tests/reference.py), vector for vector, by back
-    substitution.
-
-    With every P(i) > 0, row h has its first nonzero at the column of
-    h + e_1, and those columns increase with the rows: the rows are already
-    in echelon form, and the free columns are the i with i_1 = 0.  In
-    x(i) = P(i) phi(i) the rows read sum_j x(h + e_j) = 0, which is free
-    of the law, so the basis vector of a free column f is its integer null
-    vector psi_f of those 0/1 rows, scaled: phi_f(i) = psi_f(i) P(f) / P(i).
-    A law with some P(i) <= 0 at order n raises ValueError.
-    """
-    if n < 1:
-        raise ValueError("xi_nullspace_basis needs n >= 1")
-    comps = compositions(n, law.K)
-    probs = [law.cylinder(i) for i in comps]
-    for i, p in zip(comps, probs):
-        if p <= 0:
-            raise ValueError(
-                f"xi_nullspace_basis needs P(i) > 0, got {format_rational(p)} at {tuple(i)}"
-            )
-    basis = []
-    for f, psi in _xi_free_vectors(n, law.K):
-        vec = [Fraction(0)] * len(comps)
-        for j, s in psi:
-            vec[j] = probs[f] * s / probs[j]
-        basis.append(SymmetricKernel(n, law.K, dict(zip(comps, vec))))
-    return basis
-
-
 @lru_cache(maxsize=None)
-def _xi_free_vectors(n: int, colors: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    # Per free column f of the 0/1 rows sum_j x(h + e_j) = 0 (the i with
-    # i_1 = 0, in column order), the nonzero entries (column, value) of
-    # its integer null vector psi_f: psi_f(f) = 1, every other free entry
-    # 0, and each pivot h + e_1 solved from its row, last row first, by
-    # x(h + e_1) = -sum_{j >= 2} x(h + e_j).  Those columns come later in
-    # the order than h + e_1, so they are free or solved already.
+def _xi_pivots(n: int, colors: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
+    # The 0/1 rows sum_j x(h + e_j) = 0 over compositions(n, K), one per h
+    # of order n-1 in order (h_1 decreasing), as (pivot h + e_1, columns
+    # h + e_j for j >= 2), and the free columns, the i with i_1 = 0.  A
+    # row's other columns are free or the pivot of a later row.
     col = {c: idx for idx, c in enumerate(compositions(n, colors))}
-    rows = [
-        (col[h.increment(0)], [col[h.increment(j)] for j in range(1, colors)])
-        for h in reversed(compositions(n - 1, colors))
-    ]
-    vectors = []
-    for f, c in enumerate(col):
-        if c[0]:
-            continue
-        psi = [0] * len(col)
-        psi[f] = 1
-        for pivot, others in rows:
-            psi[pivot] = -sum(psi[j] for j in others)
-        vectors.append((f, tuple((j, s) for j, s in enumerate(psi) if s)))
-    return tuple(vectors)
+    rows = tuple(
+        (col[h.increment(0)], tuple(col[h.increment(j)] for j in range(1, colors)))
+        for h in compositions(n - 1, colors)
+    )
+    return rows, tuple(idx for c, idx in col.items() if not c[0])
+
+
+def _xi_kernel(law: ExchangeableLaw, n: int, f: int) -> SymmetricKernel:
+    # The basis kernel of free column f.  In x(i) = P(i) phi(i) the
+    # constraint rows are _xi_pivots', free of the law: the null vector psi
+    # that is 1 at f and 0 at every other free column solves each pivot
+    # from its row, last row first, and phi(i) = psi(i) P(f) / P(i).
+    rows, _ = _xi_pivots(n, law.K)
+    comps = compositions(n, law.K)
+    psi = [0] * len(comps)
+    psi[f] = 1
+    for pivot, others in reversed(rows):
+        psi[pivot] = -sum(psi[j] for j in others)
+    pf = law.cylinder(comps[f])
+    values = {c: pf * s / law.cylinder(c) if s else Fraction(0) for c, s in zip(comps, psi)}
+    return SymmetricKernel(n, law.K, values)
 
 
 @lru_cache(maxsize=None)
@@ -526,38 +509,54 @@ class OracleResult:
 def weak_independence_oracle(law: ExchangeableLaw, n: int) -> OracleResult:
     """Brute-force weak-independence check at order n.
 
-    Builds a basis of the conditioned-to-zero kernels by back substitution
-    on the constraint rows, then for every basis kernel and every shift u
-    in [2, n] forms the conditional expectation over u fresh coordinates,
-    symmetrized over each conditioning class z, and reports the first class
-    where it fails to vanish (kernel index, then u, then z).  The fresh
-    draws and the block splits of each class are counted sequences, built
-    up one color at a time and multiplied across the two independent
-    blocks, with no closed-form weight.  None of the coefficients depends
-    on the kernel, so each (n, u) builds one dense integer row per class
-    once, over one common denominator of the order's P(i), shared by every
-    basis kernel; a kernel costs one integer dot product per row over its
-    nonzero entries.  The cylinder probabilities come from the law's own
-    memo, so a caller checking several orders reads each one once.
+    The conditioned-to-zero kernels phi of order n solve one row
+    sum_j P(h + e_j) phi(h + e_j) = 0 per class h of order n-1: with every
+    P(i) > 0 an echelon form, pivot h + e_1, whose free columns f (f_1 = 0)
+    give one basis kernel each.  For each shift u in [2, n] and class z,
+    the conditional expectation over u fresh coordinates, symmetrized over
+    z, is one integer row of counted sequences (fresh draws and block
+    splits, built up one color at a time), with no closed-form weight.  No
+    basis is built: each row, divided by P(i) over the lcm L of the
+    order's P numerators, is reduced once against the constraint rows, and
+    its residual at f, times P(f) / (L scale), is kernel f's value.  The
+    witness is the first nonzero value by kernel index, then u, then z;
+    its kernel is the only one built.  P(i) comes from the law's own memo,
+    so a caller checking several orders reads each one once.  A law with
+    some P(i) <= 0 at order n raises ValueError.
     """
     if n < 2:
         raise ValueError("weak_independence_oracle needs n >= 2")
-    basis = xi_nullspace_basis(law, n)
     comps = compositions(n, law.K)
-    rows: dict[int, list] = {}
-    for idx, phi in enumerate(basis):
-        support = [(j, v) for j, v in enumerate(phi.as_vector(comps)) if v]
-        cols = [j for j, _ in support]
-        vec, vden = _common_denominator(v for _, v in support)
-        for u in range(2, n + 1):
-            if u not in rows:
-                rows[u] = _oracle_rows(law, n, u)
-            for z, row, scale in rows[u]:
-                num = sum(map(mul, vec, map(row.__getitem__, cols)))
-                if num:
-                    witness = OracleWitness(idx, u, z, Fraction(num, vden) / scale, phi)
-                    return OracleResult(False, len(basis), witness)
-    return OracleResult(True, len(basis), None)
+    nums, _ = _common_denominator(map(law.cylinder, comps))
+    for i, p in zip(comps, nums):
+        if p <= 0:
+            raise ValueError(
+                "weak_independence_oracle needs P(i) > 0, got"
+                f" {format_rational(law.cylinder(i))} at {tuple(i)}")
+    lcm = math.lcm(*nums)
+    per_class = [lcm // p for p in nums]
+    rows, free = _xi_pivots(n, law.K)
+    found = None
+    classes = ((u, *r) for u in range(2, n + 1) for r in _oracle_rows(law, n, u))
+    for u, z, row, scale in classes:
+        a = list(map(mul, row, per_class))
+        for pivot, others in rows:
+            lam = a[pivot]
+            if lam:
+                for j in others:
+                    a[j] -= lam
+        # a later (u, z) is the witness only through a smaller kernel index
+        for idx, f in enumerate(free[: found[0] if found else None]):
+            if a[f]:
+                found = idx, u, z, Fraction(nums[f] * a[f], lcm) / scale
+                break
+        if found and found[0] == 0:
+            break
+    if found is None:
+        return OracleResult(True, len(free), None)
+    idx, u, z, value = found
+    witness = OracleWitness(idx, u, z, value, _xi_kernel(law, n, free[idx]))
+    return OracleResult(False, len(free), witness)
 
 
 def sh_dims(law: ExchangeableLaw, n: int) -> list[int]:

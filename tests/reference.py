@@ -8,21 +8,42 @@ form: one alternating double sum per (n, u, z, m), built from
 is the ratio P(h + e_j) / P(h) of two cylinder values, against which the
 laws' own predictive rules and the degeneracy rows are checked.
 `nullspace` is the generic null space by elimination, which the oracle's
-back substitution (`decomp.xi_nullspace_basis`) is checked against.
+back substitution (`decomp._xi_kernel`) is checked against.
+`basis_oracle` is the weak-independence oracle the long way: it builds
+the whole conditioned-to-zero basis from `nullspace` and takes one dot
+product per kernel, u and class z, where `decomp.weak_independence_oracle`
+reduces each class's row once and builds only its witness kernel.
 
-Run as a script, the check goes deeper than the tests: every entry of the
-sweep of a K=4 mixture through n = 6 and of a K=3 mixture through n = 8
-(about ten seconds):
+Run as a script, the checks go deeper than the tests: every entry of the
+sweep of a K=4 mixture through n = 6 and of a K=3 mixture through n = 8,
+then the oracle against `basis_oracle` at every order through n = 9 for
+the K=4 reference law and a K=4 mixture (about fifteen seconds):
 
     PYTHONPATH=src python tests/reference.py
 """
 
 import sys
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from hoeffding.characterization import _K2_HINT, _validate_m, coherent_splits, verify_hd
-from hoeffding.exactnum import Composition, Rational, compositions, multinomial, multinomial_star
+from hoeffding.decomp import (
+    OracleResult,
+    OracleWitness,
+    SymmetricKernel,
+    _oracle_rows,
+    weak_independence_oracle,
+    xi_constraint_matrix,
+)
+from hoeffding.exactnum import (
+    Composition,
+    Rational,
+    _common_denominator,
+    compositions,
+    multinomial,
+    multinomial_star,
+)
 from hoeffding.laws import ExchangeableLaw, _as_composition, parse_law
 from hoeffding.linalg import Matrix, _back_substitute, row_echelon
 
@@ -68,6 +89,42 @@ def nullspace(rows: Matrix) -> list[list[Fraction]]:
     ech = row_echelon(rows)
     pivots = set(ech.pivot_cols)
     return [_back_substitute(ech, f, 1) for f in range(ech.ncols) if f not in pivots]
+
+
+def nullspace_basis(law: ExchangeableLaw, n: int) -> list[SymmetricKernel]:
+    """The order-n kernels killed by conditioning on all but the first
+    coordinate: the null space of `xi_constraint_matrix` by elimination,
+    one kernel per free column."""
+    comps = compositions(n, law.K)
+    return [
+        SymmetricKernel(n, law.K, dict(zip(comps, vec)))
+        for vec in nullspace(xi_constraint_matrix(law, n))
+    ]
+
+
+def basis_oracle(law: ExchangeableLaw, n: int) -> OracleResult:
+    """The weak-independence oracle over the whole basis: each basis
+    kernel's integer dot product with each of `_oracle_rows`' rows, over
+    the kernel's common denominator, in witness order (kernel index, then
+    u, then z)."""
+    if n < 2:
+        raise ValueError("basis_oracle needs n >= 2")
+    basis = nullspace_basis(law, n)
+    comps = compositions(n, law.K)
+    rows = {}
+    for idx, phi in enumerate(basis):
+        support = [(j, v) for j, v in enumerate(phi.as_vector(comps)) if v]
+        cols = [j for j, _ in support]
+        vec, vden = _common_denominator(v for _, v in support)
+        for u in range(2, n + 1):
+            if u not in rows:
+                rows[u] = _oracle_rows(law, n, u)
+            for z, row, scale in rows[u]:
+                num = sum(map(mul, vec, map(row.__getitem__, cols)))
+                if num:
+                    witness = OracleWitness(idx, u, z, Fraction(num, vden) / scale, phi)
+                    return OracleResult(False, len(basis), witness)
+    return OracleResult(True, len(basis), None)
 
 
 def characterization_sum(
@@ -119,10 +176,15 @@ def characterization_sum(
     return total
 
 
-# (law, depth) pairs of the script's check; tier-1 stops at n = 4 for K = 4
+# (law, depth) pairs of the script's checks; tier-1 stops at n = 4 for
+# the sweep of a K=4 law and at n = 5 for the oracle
 DEEP = (
     ("mixture:w=1/2,1/2;p1=1/2,1/4,1/8,1/8;p2=1/4,1/4,1/4,1/4", 6),
     ("mixture:w=1/2,1/2;p1=1/2,1/4,1/4;p2=1/4,1/4,1/2", 8),
+)
+DEEP_ORACLE = (
+    ("hls:K=4,pi=1,nu=2,alpha=1/4,1/4", 9),
+    ("mixture:w=1/2,1/2;p1=1/2,1/4,1/8,1/8;p2=1/4,1/4,1/4,1/4", 9),
 )
 
 
@@ -135,6 +197,15 @@ def main():
         nonzero = sum(1 for e in entries if e.value)
         print(f"{spec} through n = {n_max}: {len(entries)} entries, "
               f"{nonzero} nonzero, each equal to its per-tuple sum")
+    for spec, n_max in DEEP_ORACLE:
+        law = parse_law(spec)
+        holds = []
+        for n in range(2, n_max + 1):
+            res = weak_independence_oracle(law, n)
+            assert res == basis_oracle(law, n), (spec, n)
+            holds.append(res.weakly_independent)
+        print(f"{spec} at n = 2..{n_max}: the oracle equals the basis oracle, "
+              f"weakly independent: {holds}")
     return 0
 
 

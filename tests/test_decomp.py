@@ -39,7 +39,6 @@ from hoeffding.decomp import (
     u_statistic,
     weak_independence_oracle,
     xi_constraint_matrix,
-    xi_nullspace_basis,
     _block_split_census,
     _class_weights,
     _count_census,
@@ -48,6 +47,8 @@ from hoeffding.decomp import (
     _solve_kernel,
     _su_gram,
     _ustat_matrix,
+    _xi_kernel,
+    _xi_pivots,
 )
 from hoeffding.exactnum import Composition, compositions
 from hoeffding.characterization import verify_hd
@@ -57,7 +58,7 @@ from hoeffding.laws import (
     format_law,
     parse_law,
 )
-from reference import nullspace, predictive_prob
+from reference import basis_oracle, nullspace, nullspace_basis, predictive_prob
 
 IID_REF = parse_law("iid:p=1/2,1/3,1/6")
 POLYA_REF = parse_law("polya:alpha=1,2,3")
@@ -69,6 +70,11 @@ HLS5 = parse_law("hls:K=5,pi=2,nu=3,alpha=1/5,1/4,1/3")
 
 K3_LAWS = [IID_REF, POLYA_REF, HLS3, HLS3B, MIX]
 ALL_LAWS = K3_LAWS + [HLS4]
+K2_LAWS = [
+    parse_law("polya:alpha=1,3/2"),
+    parse_law("iid:p=1/3,2/3"),
+    parse_law("mixture:w=1/2,1/2;p1=1/2,1/2;p2=1/4,3/4"),
+]
 
 
 def counts_of(seq, colors):
@@ -441,18 +447,23 @@ class TestDegenerateKernelFor:
         assert degenerate_kernel_for(IID_REF, 2, one, 1) is None
 
 
+def back_substituted_basis(law, n):
+    # the oracle's kernel for each free column, in column order
+    return [_xi_kernel(law, n, f) for f in _xi_pivots(n, law.K)[1]]
+
+
 class TestXiNullspace:
     @pytest.mark.parametrize("law", ALL_LAWS)
     def test_basis_dimension(self, law):
         for n in (2, 3, 4):
-            basis = xi_nullspace_basis(law, n)
+            basis = back_substituted_basis(law, n)
             expect = math.comb(n + law.K - 1, law.K - 1) - math.comb(n + law.K - 2, law.K - 1)
             assert len(basis) == expect
 
     def test_basis_kernels_kill_the_conditional_expectation(self):
         for law in (IID_REF, HLS3, MIX):
             for n in (2, 3):
-                for phi in xi_nullspace_basis(law, n):
+                for phi in back_substituted_basis(law, n):
                     for h in compositions(n - 1, law.K):
                         acc = sum(
                             (cylinder_prob(law, h.increment(j)) * phi(h.increment(j))
@@ -476,20 +487,24 @@ class TestXiNullspace:
         # the back-substituted basis against Bareiss on the constraint
         # rows, vector for vector
         comps = compositions(n, law.K)
-        basis = [phi.as_vector(comps) for phi in xi_nullspace_basis(law, n)]
+        basis = [phi.as_vector(comps) for phi in back_substituted_basis(law, n)]
         assert basis == nullspace(xi_constraint_matrix(law, n))
 
     @pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1, 7)])
     def test_a_nonpositive_cylinder_is_refused(self, bad):
         # with some P(i) <= 0 the rows need not be in echelon form: the
-        # basis is refused rather than computed from the wrong pivots
+        # order is refused rather than reduced against the wrong pivots;
+        # the next order reads that class only as a row's scale
         def cylinder(i):
             return bad if tuple(i) == (1, 1, 0) else HLS3.cylinder(i)
 
         law = SimpleNamespace(K=3, cylinder=cylinder)
-        with pytest.raises(ValueError, match=r"needs P\(i\) > 0, got .* at \(1, 1, 0\)"):
-            xi_nullspace_basis(law, 2)
-        assert len(xi_nullspace_basis(law, 3)) == 4
+        with pytest.raises(
+            ValueError,
+            match=r"weak_independence_oracle needs P\(i\) > 0, got .* at \(1, 1, 0\)",
+        ):
+            weak_independence_oracle(law, 2)
+        assert weak_independence_oracle(law, 3) == OracleResult(True, 4, None)
 
 
 class TestWeakIndependenceOracle:
@@ -536,6 +551,26 @@ class TestWeakIndependenceOracle:
         assert weak_independence_oracle(law, n) == per_kernel_oracle(law, n)
 
     @pytest.mark.parametrize("law", [
+        pytest.param(law, id=format_law(law)) for law in ALL_LAWS + K2_LAWS
+    ])
+    def test_one_reduction_per_row_equals_the_basis_oracle(self, law):
+        # the reduced rows against every basis kernel's dot product, on
+        # fresh laws so that neither route reads the other's memo
+        spec = format_law(law)
+        for n in range(2, 6):
+            assert weak_independence_oracle(parse_law(spec), n) == basis_oracle(parse_law(spec), n)
+
+    def test_only_a_witness_kernel_is_built(self):
+        # a holding order builds no kernel at all, a failing one only its
+        # witness's
+        with mock.patch("hoeffding.decomp.SymmetricKernel", wraps=SymmetricKernel) as built:
+            assert weak_independence_oracle(HLS4, 4).weakly_independent
+            assert built.call_count == 0
+            witness = weak_independence_oracle(MIX, 4).witness
+            assert built.call_count == 1
+        assert witness.kernel == nullspace_basis(MIX, 4)[witness.kernel_index]
+
+    @pytest.mark.parametrize("law", [
         pytest.param(law, id=name)
         for name, law in zip(("iid", "polya", "hls3", "hls3b", "mixture", "hls4"), ALL_LAWS)
     ])
@@ -564,7 +599,7 @@ class TestWeakIndependenceOracle:
         assert all(len(row) == len(comps) for u in rows for _, row, _ in rows[u])
         values = [
             (idx, u, z, sum((coef * phi(c) for c, coef in zip(comps, row)), Fraction(0)) / scale)
-            for idx, phi in enumerate(xi_nullspace_basis(MIX, n))
+            for idx, phi in enumerate(nullspace_basis(MIX, n))
             for u in range(2, n + 1)
             for z, row, scale in rows[u]
         ]
@@ -626,7 +661,7 @@ def shift_expectation_table(law, phi, n, u):
 def per_kernel_values(law, n):
     """(kernel index, u, z, symmetrized value) in witness order, from one
     table per basis kernel and u summed over the block-split census of z."""
-    for idx, phi in enumerate(xi_nullspace_basis(law, n)):
+    for idx, phi in enumerate(nullspace_basis(law, n)):
         for u in range(2, n + 1):
             table = shift_expectation_table(law, phi, n, u)
             census = enumerated_block_split_census(law.K, n - 1, n - u)
@@ -637,7 +672,7 @@ def per_kernel_values(law, n):
 
 
 def per_kernel_oracle(law, n):
-    basis = xi_nullspace_basis(law, n)
+    basis = nullspace_basis(law, n)
     for idx, u, z, value in per_kernel_values(law, n):
         if value != 0:
             witness = OracleWitness(idx, u, z, value, basis[idx])
@@ -699,6 +734,20 @@ class TestTables:
         partial = {c: 1 for c in grid[:-1]}
         with pytest.raises(ValueError, match="missing value"):
             SymmetricStatistic(2, 3, partial)
+
+    @pytest.mark.parametrize("order,colors", [(1000, 3), (10**5, 3), (1, 10**6), (0, 10**9)])
+    def test_a_short_table_is_refused_before_its_grid_is_built(self, order, colors):
+        # a statistic file of a few bytes can name a grid of billions of
+        # compositions; listing fewer values than the grid has is refused
+        # from the count alone
+        def small_compositions(total, parts):
+            assert total <= 50 and parts <= 50, "enumerated a large grid"
+            return compositions(total, parts)
+
+        obj = {"order": order, "K": colors, "values": []}
+        with mock.patch("hoeffding.decomp.compositions", small_compositions):
+            with pytest.raises(ValueError, match="missing values: 0 listed"):
+                statistic_from_jsonable(obj)
 
     def test_off_grid_values_rejected(self):
         values = {c: 1 for c in compositions(2, 3)}
