@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from operator import add, sub
+from operator import add, le, mul, sub
 from typing import Callable, Iterator, Optional, Sequence
 
 from .decomp import SymmetricKernel
@@ -298,19 +298,53 @@ def _report_chunks(report: VerificationReport, include_zeros: bool = True) -> It
 @lru_cache(maxsize=None)
 def _monomials(
     n: int, colors: int
-) -> tuple[dict[tuple[int, ...], int], tuple[tuple[int, ...], ...]]:
-    """Positions of the monomials x^m, m in xi_index_set(n, colors), and
-    for each one the positions of x^(m - e_t) over its nonzero entries t:
-    the monomials that a factor (1 + x_1 + ... + x_{K-2}) carries onto x^m.
-    The index set runs in increasing degree, so each of those positions is
-    lower than the position it feeds."""
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
+    """For each class i of order n, in compositions(n, colors) order, its
+    first count i_1 and the position of x^mid, mid its middle counts, in
+    xi_index_set(n, colors); and for each monomial x^m of that index set
+    the positions of x^(m - e_t) over its nonzero entries t: the monomials
+    that a factor (1 + x_1 + ... + x_{K-2}) carries onto x^m.  The index
+    set runs in increasing degree, so each of those positions is lower
+    than the position it feeds."""
     index = xi_index_set(n, colors)
     pos = {m: j for j, m in enumerate(index)}
+    slots = tuple((i[0], pos[i[1:-1]]) for i in compositions(n, colors))
     below = tuple(
         tuple(pos[(*m[:t], m[t] - 1, *m[t + 1:])] for t in range(len(m)) if m[t])
         for m in index
     )
-    return pos, below
+    return slots, below
+
+
+# one class ka of a plan's split block: ka, multinomial(n-u, ka), and the
+# position in compositions(n, K) of ka+q for each allocation q
+_Split = tuple[Composition, int, tuple[int, ...]]
+
+
+@lru_cache(maxsize=None)
+def _plan(n: int, u: int, colors: int) -> tuple[
+    tuple[Composition, ...], tuple[int, ...], tuple[_Split, ...], dict[Composition, int]
+]:
+    """The law-free index plan of every (n, u, z) group with these n, u, K.
+
+    The allocations q in compositions(u, K) with their multinomial(u, q);
+    for each class ka in compositions(n-u, K) of the split block, its
+    multinomial(n-u, ka) and the position of ka+q in compositions(n, K)
+    for every q, in allocation order; and multinomial(u-1, kb) for each
+    class kb of order u-1, keyed by kb."""
+    where = {i: j for j, i in enumerate(compositions(n, colors))}
+    allocations = compositions(u, colors)
+    splits = tuple(
+        (ka, multinomial(n - u, ka[:-1]),
+         tuple(where[tuple(map(add, ka, q))] for q in allocations))
+        for ka in compositions(n - u, colors)
+    )
+    return (
+        allocations,
+        tuple(multinomial(u, q[:-1]) for q in allocations),
+        splits,
+        {kb: multinomial(u - 1, kb[:-1]) for kb in compositions(u - 1, colors)},
+    )
 
 
 _ZERO = Fraction(0)
@@ -324,46 +358,49 @@ def _group_values(
     polynomial in r = K-2 variables; the per-tuple characterization_sum
     of tests/reference.py is its reference.
 
-    One walk over the coherent splits k and fresh-draw allocations q sums
-    the m-independent weights
-    multinomial(n-u, k) * multinomial(u, q) * multinomial(u-1, z_head - k)
-    * P(z+q) per pooled key k+q.  The kernel index m enters only through
-    the star factor C*(a; m - mid), where a is the first count of k+q and
+    One walk over the split classes ka of order n-u and fresh-draw
+    allocations q sums the m-independent weights
+    multinomial(n-u, ka) * multinomial(u, q) * multinomial(u-1, z - ka)
+    * P(z+q) per pooled key ka+q, a class of order n.  A split is coherent
+    iff ka <= z entrywise; the others are skipped.  The multinomials and
+    the position of each key in compositions(n, K) come from the law-free
+    _plan of (n, u, K), so the walk adds into a list by position and
+    builds no tuple per term.  The kernel index m enters only through the
+    star factor C*(a; m - mid), where a is the first count of the key and
     mid its r middle counts, and sum_d C*(a; d) x^d = (1 + x_1 + ... + x_r)^a.
     So with P_a(x) the sum over the keys of first count a of
-    (-1)^a weight / P(k+q) * x^mid, the value at m is the coefficient of
+    (-1)^a weight / P(key) * x^mid, the value at m is the coefficient of
     x^m in sum_a P_a(x) (1 + x_1 + ... + x_r)^a.  Horner's rule evaluates
     it from the largest a down to 0: each step multiplies by the factor
     and adds P_a, dropping monomials of degree > n, which no m reaches.
-    k+q has order n, so every x^mid is kept.  Weights and coefficients are
-    integers over one denominator, the lcm of the cylinder values'
-    denominators times the lcm of the keys' P(k+q) numerators: the exact
+    A key has order n, so every x^mid is kept.  Weights and coefficients
+    are integers over one denominator, the lcm of the cylinder values'
+    denominators times the lcm of the keys' P(key) numerators: the exact
     sum is regrouped, never rounded, and each value is reduced at the end;
-    every zero value is the one shared _ZERO.
+    every zero value is the one shared _ZERO.  Only law.cylinder is read.
     """
     cylinder = law.cylinder
-    head = len(z) - 1
-    allocations = [
-        (*q, u - a) for a in range(u + 1) for q in compositions(a, head)
-    ]
+    colors = len(z)
+    allocations, q_multinomials, splits, kb_multinomials = _plan(n, u, colors)
     # multinomial(u, q) * P(z+q) as integers over one denominator
     nums, coef_den = _common_denominator(cylinder(tuple(map(add, z, q))) for q in allocations)
-    coefs = [multinomial(u, q[:head]) * num for q, num in zip(allocations, nums)]
-    weights: dict[tuple[int, ...], int] = {}
-    for k in coherent_splits(n - 1, n - u, z):
-        ka_full = (*k, (n - u) - sum(k))
-        outer = multinomial(n - u, k) * multinomial(u - 1, tuple(map(sub, z[:head], k)))
-        for q, coef in zip(allocations, coefs):
-            kq = tuple(map(add, ka_full, q))
-            weights[kq] = weights.get(kq, 0) + outer * coef
-    keys = [(kq, w, cylinder(kq)) for kq, w in weights.items() if w]
+    coefs = list(map(mul, q_multinomials, nums))
+    classes = compositions(n, colors)
+    weights = [0] * len(classes)
+    for ka, ka_multinomial, targets in splits:
+        if all(map(le, ka, z)):
+            outer = ka_multinomial * kb_multinomials[tuple(map(sub, z, ka))]
+            for j, coef in zip(targets, coefs):
+                weights[j] += outer * coef
+    keys = [(j, w, cylinder(classes[j])) for j, w in enumerate(weights) if w]
     key_den = math.lcm(*(p.numerator for _, _, p in keys))
-    pos, below = _monomials(n, len(z))
+    slots, below = _monomials(n, colors)
     # P_a as (position of x^mid, integer coefficient) pairs, one list per a
     parts: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for kq, w, p in keys:
+    for j, w, p in keys:
+        a, mid = slots[j]
         num = w * p.denominator * (key_den // p.numerator)
-        parts[kq[0]].append((pos[kq[1:head]], -num if kq[0] % 2 else num))
+        parts[a].append((mid, -num if a % 2 else num))
     coef = [0] * len(below)
     top = max((a for a in range(n + 1) if parts[a]), default=0)
     for a in range(top, -1, -1):

@@ -153,14 +153,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     law = _load_law(args.law)
-    statistic = decomp.load_statistic_file(args.statistic)
+    statistic = decomp.load_statistic_file(args.statistic, law.K)
     n = statistic.order
     if args.n is not None and args.n != n:
         raise ValueError(f"--n {args.n} does not match the statistic's order {n}")
-    if statistic.colors != law.K:
-        raise ValueError(
-            f"statistic has K={statistic.colors} but the law has K={law.K}"
-        )
     # an order-0 statistic is a constant, F_0 = T; the law is still checked
     consistency = laws.check_consistency(law, max(n, 1))
     if not consistency.passed:

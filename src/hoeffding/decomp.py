@@ -587,8 +587,9 @@ def table_to_jsonable(table: _CompositionTable) -> dict:
     }
 
 
-def statistic_from_jsonable(obj: dict) -> SymmetricStatistic:
-    # as in law files: no unknown keys, and each composition listed once
+def statistic_from_jsonable(obj: dict, law_colors: Optional[int] = None) -> SymmetricStatistic:
+    # as in law files: no unknown keys, and each composition listed once; a
+    # K other than law_colors, when given, is refused before the grid is built
     if not isinstance(obj, dict):
         raise ValueError("kernel/statistic JSON must be an object")
     unknown = [key for key in obj if key not in ("order", "K", "values")]
@@ -597,6 +598,8 @@ def statistic_from_jsonable(obj: dict) -> SymmetricStatistic:
     order, colors, raw = obj.get("order"), obj.get("K"), obj.get("values")
     if type(order) is not int or type(colors) is not int or not isinstance(raw, list):
         raise ValueError("kernel/statistic JSON needs integer order and K and a values list")
+    if law_colors is not None and colors != law_colors:
+        raise ValueError(f"statistic has K={colors} but the law has K={law_colors}")
     values = {}
     for item in raw:
         try:
@@ -619,5 +622,5 @@ def statistic_from_jsonable(obj: dict) -> SymmetricStatistic:
     return SymmetricStatistic(order, colors, values)
 
 
-def load_statistic_file(path: str) -> SymmetricStatistic:
-    return statistic_from_jsonable(_read_json_file(path, "statistic"))
+def load_statistic_file(path: str, law_colors: Optional[int] = None) -> SymmetricStatistic:
+    return statistic_from_jsonable(_read_json_file(path, "statistic"), law_colors)

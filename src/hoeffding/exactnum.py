@@ -157,16 +157,25 @@ def _common_denominator(values: Iterable[Union[Rational, int]]) -> tuple[list[in
 
 
 def _composition_tuples(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    # descending lexicographic order, by a loop, so any number of parts
+    # works: the next tuple moves one unit from the last nonzero count
+    # before the final one to the count after it, which also takes the
+    # final count
     if parts == 0:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _composition_tuples(total - first, parts - 1):
-            yield (first,) + rest
+    counts = [total] + [0] * (parts - 1)
+    while True:
+        yield tuple(counts)
+        t = parts - 2
+        while t >= 0 and not counts[t]:
+            t -= 1
+        if t < 0:
+            return
+        counts[t] -= 1
+        tail, counts[-1] = counts[-1], 0
+        counts[t + 1] = tail + 1
 
 
 @lru_cache(maxsize=None)

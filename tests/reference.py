@@ -3,8 +3,10 @@
 `characterization_sum` is the paper's criterion in its literal per-tuple
 form: one alternating double sum per (n, u, z, m), built from
 `conditional_block_prob`.  `verify_hd` regroups the same sum in
-`characterization._group_values` to share it across every m of one
-(n, u, z); the tests compare the two entry by entry.  `predictive_prob`
+`characterization._group_values`, which adds its terms by position over
+law-free index plans (`characterization._plan`) and shares them across
+every m of one (n, u, z); the tests compare the two entry by entry, on
+fixed laws and on drawn ones swept in turn.  `predictive_prob`
 is the ratio P(h + e_j) / P(h) of two cylinder values, against which the
 laws' own predictive rules and the degeneracy rows are checked.
 `nullspace` is the generic null space by elimination, which the oracle's

@@ -12,6 +12,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hoeffding import characterization, linalg
 from hoeffding.characterization import (
@@ -31,7 +33,7 @@ from hoeffding.characterization import (
 )
 from hoeffding.decomp import xi_constraint_matrix
 from hoeffding.exactnum import Composition, beta_ratio, compositions, multinomial_star
-from hoeffding.laws import cylinder_prob, parse_law
+from hoeffding.laws import HLS, IID, MixtureIID, Polya, cylinder_prob, parse_law
 from reference import characterization_sum, nullspace_basis
 
 IID_REF = parse_law("iid:p=1/2,1/3,1/6")
@@ -243,6 +245,29 @@ class TestCharacterizationSum:
             characterization_sum(HLS3, 3, 2, (1, 1, 0), (5,))
 
 
+small_positive = st.fractions(min_value=0, max_value=3, max_denominator=4).filter(bool)
+
+
+@st.composite
+def drawn_laws(draw, colors):
+    """An iid, Polya, HLS or two-component mixture law over the given
+    colors, with small positive rational parameters."""
+
+    def simplex(size):
+        mass = draw(st.lists(small_positive, min_size=size, max_size=size))
+        return tuple(x / sum(mass) for x in mass)
+
+    family = draw(st.sampled_from(("iid", "polya", "hls", "mixture")))
+    if family == "iid":
+        return IID(simplex(colors))
+    if family == "polya":
+        return Polya(tuple(draw(st.lists(small_positive, min_size=colors, max_size=colors))))
+    if family == "hls":
+        pi, nu = draw(st.lists(small_positive, min_size=2, max_size=2))
+        return HLS(colors, pi, nu, simplex(colors - 1)[:-1])
+    return MixtureIID(simplex(2), (simplex(colors), simplex(colors)))
+
+
 class TestVerifyHd:
     def test_hls_all_zero(self):
         report = verify_hd(HLS3, 3)
@@ -301,6 +326,20 @@ class TestVerifyHd:
         assert trimmed["first_nonzero"] == {
             "n": 2, "u": 2, "z": [1, 0, 0], "m": [1], "value": "-1/60",
         }
+
+    @settings(max_examples=20)
+    @given(st.data())
+    def test_drawn_laws_swept_alternately_match_the_per_tuple_sum(self, data):
+        # two laws of one K share every index plan: each sweep must still
+        # equal its own reference, so the plans hold nothing of a law
+        colors = data.draw(st.integers(3, 5), label="K")
+        n_max = data.draw(st.integers(2, 4 if colors < 5 else 3), label="n_max")
+        first = data.draw(drawn_laws(colors), label="first")
+        second = data.draw(drawn_laws(colors), label="second")
+        assume(first != second)
+        for law in (first, second, first):
+            for e in verify_hd(law, n_max).entries:
+                assert e.value == characterization_sum(law, e.n, e.u, e.z, e.m), (law, e)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="oracle"):

@@ -266,6 +266,20 @@ class TestDecompose:
              "--statistic", str(path)])
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_color_mismatch_is_caught_before_the_grid(self, tmp_path, order):
+        # more colors than the recursion limit, every composition listed: the
+        # law's K=3 refuses the file before its grid is enumerated
+        colors = sys.getrecursionlimit() + 500 if order else 5000
+        listed = [[int(t == j) for t in range(colors)] for j in range(colors)] if order else [
+            [0] * colors]
+        path = tmp_path / "stat.json"
+        path.write_text(json.dumps({"order": order, "K": colors, "values": [
+            {"composition": c, "value": 1} for c in listed]}))
+        code, _, err = run_cli(
+            ["decompose", "--law", "polya:alpha=1,2,3", "--statistic", str(path)])
+        assert (code, err) == (2, f"error: statistic has K={colors} but the law has K=3\n")
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

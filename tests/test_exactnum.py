@@ -9,6 +9,7 @@ compositions.  None of them share code with the implementation.
 import copy
 import math
 import pickle
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from hoeffding.exactnum import (
     Composition,
+    _composition_tuples,
     beta_ratio,
     binom_star,
     class_size,
@@ -205,6 +207,16 @@ class TestCompositions:
             for n in range(1, 9):
                 restricted = sum(1 for i in compositions(n, k) if i[0] >= 1)
                 assert restricted == math.comb(n + k - 2, k - 1)
+
+    def test_more_colors_than_the_recursion_limit(self):
+        # the enumeration is a loop, so its depth does not grow with the colors
+        colors = sys.getrecursionlimit() + 500
+        assert compositions(0, colors) == ((0,) * colors,)
+        seen = 0
+        for j, t in enumerate(_composition_tuples(1, colors)):
+            assert t.index(1) == j and sum(t) == 1
+            seen += 1
+        assert seen == colors
 
     def test_degenerate_and_errors(self):
         assert list(compositions(3, 0)) == []
