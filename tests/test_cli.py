@@ -271,8 +271,10 @@ class TestDecompose:
         # more colors than the recursion limit, every composition listed: the
         # law's K=3 refuses the file before its grid is enumerated
         colors = sys.getrecursionlimit() + 500 if order else 5000
-        listed = [[int(t == j) for t in range(colors)] for j in range(colors)] if order else [
-            [0] * colors]
+        if order:
+            listed = [[int(t == j) for t in range(colors)] for j in range(colors)]
+        else:
+            listed = [[0] * colors]
         path = tmp_path / "stat.json"
         path.write_text(json.dumps({"order": order, "K": colors, "values": [
             {"composition": c, "value": 1} for c in listed]}))
