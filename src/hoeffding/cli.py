@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import characterization, decomp, laws, urnsim
-from .exactnum import compositions, format_rational, parse_rational
+from .exactnum import compositions, format_rational, parse_rational, split_entries
 
 __all__ = ["main"]
 
@@ -216,16 +216,8 @@ def _cmd_identity(args: argparse.Namespace) -> int:
     return 0 if result.holds else 1
 
 
-def _vector_entries(text: str) -> list[str]:
-    # an empty or blank entry is an input error: '1,,2' is not two colors
-    entries = text.split(",")
-    if not all(x.strip() for x in entries):
-        raise ValueError(f"empty entry in comma-separated list {text!r}")
-    return entries
-
-
 def _parse_int_vector(text: str) -> tuple[int, ...]:
-    entries = _vector_entries(text)
+    entries = split_entries(text)
     try:
         return tuple(_parse_int(x) for x in entries)
     except argparse.ArgumentTypeError as exc:
@@ -233,7 +225,7 @@ def _parse_int_vector(text: str) -> tuple[int, ...]:
 
 
 def _parse_rational_vector(text: str) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(x) for x in _vector_entries(text))
+    return tuple(parse_rational(x) for x in split_entries(text))
 
 
 # the family flags each urn reads (all take --initial); the others are

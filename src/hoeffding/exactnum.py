@@ -30,6 +30,7 @@ __all__ = [
     "class_size",
     "parse_rational",
     "format_rational",
+    "split_entries",
 ]
 
 
@@ -224,3 +225,14 @@ def format_rational(x: RationalLike) -> str:
     """Canonical "num/den" rendering, denominator always present."""
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
+
+
+def split_entries(text: str, separators: str = ",") -> list[str]:
+    """The entries of ``text`` between any of the ``separators``, stripped.
+
+    An empty or blank entry is an input error, never dropped: '1,,2' is
+    not two entries, and '' is not an empty list."""
+    entries = [x.strip() for x in re.split(f"[{re.escape(separators)}]", text)]
+    if not all(entries):
+        raise ValueError(f"empty entry in {text!r}")
+    return entries

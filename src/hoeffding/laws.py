@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import ClassVar, Optional, Sequence, Union
+from typing import ClassVar, Optional, Sequence, Union, get_args
 
 from .exactnum import (
     Composition,
@@ -42,6 +42,7 @@ from .exactnum import (
     compositions,
     format_rational,
     parse_rational,
+    split_entries,
 )
 
 __all__ = [
@@ -147,6 +148,7 @@ class _Law:
     Values a family derives from its parameters once are likewise fields
     outside ==, hash and repr."""
 
+    separator: ClassVar[str] = ";"  # format_law's; parse_law reads "," and ";" alike
     _cylinders: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -245,6 +247,7 @@ class HLS(_Law):
     """
 
     family: ClassVar[str] = "hls"
+    separator: ClassVar[str] = ","
     params: ClassVar[tuple[_Rational, ...]] = (_Integer("K"), _Rational("pi"),
                                                _Rational("nu"), _Vector("alpha"))
 
@@ -334,7 +337,7 @@ class MixtureIID(_Law):
 
 ExchangeableLaw = Union[IID, Polya, HLS, MixtureIID]
 
-_FAMILIES: dict[str, type] = {cls.family: cls for cls in (IID, Polya, HLS, MixtureIID)}
+_FAMILIES: dict[str, type] = {cls.family: cls for cls in get_args(ExchangeableLaw)}
 
 
 # Uncalled: the helpers below read law.cylinder, so no dropped law stays
@@ -423,31 +426,20 @@ def check_consistency(law: ExchangeableLaw, n_max: int) -> ConsistencyReport:
     return ConsistencyReport(spec, n_max, True, None)
 
 
-# law-spec grammar: "family:key=v1,v2,...;key=..." with rational values
-
-
-def _tokenize(family: str, body: str) -> list[tuple[str, list[str]]]:
+def _tokenize(body: str) -> list[tuple[str, list[str]]]:
+    """The (key, values) pairs of a spec body.  "," and ";" both separate
+    its pieces; a piece with "=" opens a key, and a piece without one adds
+    a value to the open key.  An empty piece, or a key with no value, is
+    an input error."""
     pairs: list[tuple[str, list[str]]] = []
-    if family == "hls":
-        # hls uses "," both to separate parameters and inside alpha, so
-        # split on key boundaries instead of raw commas.
-        for piece in body.split(","):
-            key, eq, raw = piece.partition("=")
-            if eq:
-                pairs.append((key.strip(), [raw.strip()] if raw.strip() else []))
-            elif pairs and piece.strip():
-                pairs[-1][1].append(piece.strip())
-            else:
-                raise ValueError(f"malformed hls parameter near {piece!r}")
-        return pairs
-    for segment in body.split(";"):
-        segment = segment.strip()
-        if not segment:
-            continue
-        key, eq, raw = segment.partition("=")
-        if not eq:
-            raise ValueError(f"malformed law parameter {segment!r}")
-        pairs.append((key.strip(), [v.strip() for v in raw.split(",") if v.strip()]))
+    for piece in split_entries(body, ",;"):
+        *key, value = split_entries(piece, "=")
+        if len(key) > 1 or not (key or pairs):
+            raise ValueError(f"malformed law parameter {piece!r}")
+        if key:
+            pairs.append((key[0], [value]))
+        else:
+            pairs[-1][1].append(value)
     return pairs
 
 
@@ -456,7 +448,9 @@ def parse_law(text: str) -> ExchangeableLaw:
 
     Grammar: ``iid:p=1/2,1/3,1/6`` | ``polya:alpha=1,2,3`` |
     ``hls:K=3,pi=1,nu=2,alpha=1/2`` |
-    ``mixture:w=1/2,1/2;p1=1/2,1/4,1/4;p2=1/4,1/4,1/2``.
+    ``mixture:w=1/2,1/2;p1=1/2,1/4,1/4;p2=1/4,1/4,1/2``.  In every family
+    "," and ";" both separate, a piece with "=" opens a key and one without
+    adds a value to it, and an empty entry or value is an error.
     """
     family, sep, body = text.strip().partition(":")
     family = family.strip().lower()
@@ -465,7 +459,7 @@ def parse_law(text: str) -> ExchangeableLaw:
     cls = _FAMILIES.get(family)
     fields = {field.key: field for field in cls.params} if cls else {}
     obj: dict = {"family": family}
-    for key, tokens in _tokenize(family, body):
+    for key, tokens in _tokenize(body):
         if key in obj:
             raise ValueError(f"duplicate law parameter {key!r}")
         obj[key] = fields[key].from_tokens(tokens) if key in fields else tokens
@@ -479,8 +473,7 @@ def _fields(law: ExchangeableLaw) -> list[tuple[str, _Rational, object]]:
 
 def format_law(law: ExchangeableLaw) -> str:
     """Canonical law spec string; parse_law(format_law(law)) == law."""
-    sep = "," if law.family == "hls" else ";"  # the hls split in _tokenize
-    return f"{law.family}:" + sep.join(f"{k}={f.spec(v)}" for k, f, v in _fields(law))
+    return f"{law.family}:" + law.separator.join(f"{k}={f.spec(v)}" for k, f, v in _fields(law))
 
 
 def law_to_jsonable(law: ExchangeableLaw) -> dict:

@@ -16,6 +16,8 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hoeffding import characterization, cli, laws, urnsim
 from hoeffding.cli import main
@@ -552,6 +554,72 @@ class TestLawCheck:
                                   "--n-max", "0"])
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["law-check", "verify"])
+    @pytest.mark.parametrize("spec", [
+        "iid:p=1/2,,1/2",
+        "polya:alpha=1,2,",
+        "mixture:w=1/2,1/2;;p1=1/2,1/2;p2=1/4,3/4",
+        "iid:p=1/2,1/2;",
+        "iid:p=",
+        "iid:",
+        "hls:K=3,,pi=1,nu=2,alpha=1/2",
+    ])
+    def test_empty_entries_are_input_errors(self, command, spec):
+        # the first four were read as valid laws once their empty entries
+        # were dropped
+        code, out, err = run_cli([command, "--law", spec, "--n-max", "2"])
+        assert code == 2 and out == ""
+        assert "empty entry" in err and repr(spec.partition(":")[2]) in err
+
+    def test_either_separator_gives_the_canonical_report(self):
+        canonical = run_cli(["law-check", "--law", "hls:K=4,pi=1,nu=2,alpha=1/4,1/4",
+                             "--n-max", "3"])
+        assert run_cli(["law-check", "--law", "hls:K=4;pi=1;nu=2;alpha=1/4,1/4",
+                        "--n-max", "3"]) == canonical
+
+
+# the fuzz test's law specs: each family's own keys or a random list of
+# keys, and values of at most 6 colors (K included) so that no run starts
+# unbounded work, with a near-miss now and then
+FUZZ_KEYS = {"iid": ("p",), "polya": ("alpha",), "hls": ("K", "pi", "nu", "alpha"),
+             "mixture": ("w", "p1", "p2"), "HLS": (), "gauss": ("sigma",), "": ()}
+FUZZ_STRAY_KEYS = ("p", "alpha", "K", "pi", "nu", "w", "p1", "p3", "family", "", None)
+FUZZ_VALUES = ("1", "2", "3", "4", "1/2", "1/3", "2/3", "1/4", "3/4")
+FUZZ_NEAR_MISSES = ("0", "-1", "6", "1/0", "0.5", "+1/2", "1_000", "1e-100000000",
+                    "\u0663", "")
+
+
+@st.composite
+def fuzzed_specs(draw):
+    def joined(parts):
+        out = parts[0]
+        for part in parts[1:]:
+            out += draw(st.sampled_from(",;")) + part
+        return out
+
+    def value():
+        if draw(st.integers(0, 7)):
+            return draw(st.sampled_from(FUZZ_VALUES))
+        return draw(st.sampled_from(FUZZ_NEAR_MISSES))
+
+    family = draw(st.sampled_from(sorted(FUZZ_KEYS)))
+    keys = draw(st.one_of(st.just(FUZZ_KEYS[family]),
+                          st.lists(st.sampled_from(FUZZ_STRAY_KEYS), max_size=5)))
+    pieces = []
+    for key in keys:
+        values = joined([value() for _ in range(draw(st.integers(1, 6)))])
+        pieces.append(values if key is None else f"{key}={values}")
+    body = joined(pieces) if pieces else ""
+    return family + draw(st.sampled_from((":", ":", "", "::"))) + body
+
+
+class TestLawSpecFuzz:
+    @given(fuzzed_specs())
+    def test_a_spec_is_a_verdict_or_an_input_error(self, spec):
+        code, _, err = run_cli(["law-check", "--law", spec, "--n-max", "2"])
+        assert code in (0, 1, 2), err
+        assert (code == 2) == err.startswith("error:"), err
 
 
 class TestErrorChannel:

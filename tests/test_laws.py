@@ -10,6 +10,7 @@ now the same algorithm as the code's, so only `closed_form` checks it.
 """
 
 import gc
+import re
 import json
 import math
 import pickle
@@ -38,6 +39,7 @@ from hoeffding.laws import (
     parse_law,
 )
 from reference import conditional_block_prob, predictive_prob
+from test_characterization import drawn_laws
 
 IID_REF = IID((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
 POLYA_REF = Polya((Fraction(1), Fraction(2), Fraction(3)))
@@ -271,6 +273,46 @@ class TestSpecStrings:
         assert parse_law("hls:K=3,pi=1,nu=2,alpha=1/2") == HLS3
         assert parse_law("hls:K=4,pi=1,nu=2,alpha=1/4,1/4") == HLS4
         assert parse_law("mixture:w=1/2,1/2;p1=1/2,1/4,1/4;p2=1/4,1/4,1/2") == MIX
+
+    @staticmethod
+    def canonical_pairs(spec):
+        # (key, values) pairs of a canonical spec, which has no blanks
+        family, _, body = spec.partition(":")
+        pairs = []
+        for piece in re.split("[,;]", body):
+            key, eq, value = piece.partition("=")
+            if eq:
+                pairs.append((key, [value]))
+            else:
+                pairs[-1][1].append(piece)
+        return family, pairs
+
+    @given(st.data())
+    def test_separators_and_blanks_do_not_change_the_law(self, data):
+        law = data.draw(drawn_laws(data.draw(st.integers(3, 5), label="K")), label="law")
+        spec = format_law(law)
+        family, pairs = self.canonical_pairs(spec)
+        pad = st.text(" ", max_size=2)
+
+        def padded(token):
+            return data.draw(pad) + token + data.draw(pad)
+
+        pieces = [f"{padded(key)}={','.join(map(padded, values))}" for key, values in pairs]
+        body = pieces[0]
+        for piece in pieces[1:]:
+            body += data.draw(st.sampled_from(",;"), label="separator") + piece
+        respelled = parse_law(f"{padded(family)}:{body}")
+        assert respelled == law and format_law(respelled) == spec
+
+    @given(st.data())
+    def test_an_empty_entry_is_an_error(self, data):
+        law = data.draw(drawn_laws(data.draw(st.integers(3, 5), label="K")), label="law")
+        family, pairs = self.canonical_pairs(format_law(law))
+        _, values = data.draw(st.sampled_from(pairs), label="key")
+        values.insert(data.draw(st.integers(0, len(values)), label="at"), "")
+        spec = f"{family}:" + law.separator.join(f"{k}={','.join(v)}" for k, v in pairs)
+        with pytest.raises(ValueError, match="empty entry"):
+            parse_law(spec)
 
     def test_parse_rejections(self):
         for bad in (
