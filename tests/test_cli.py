@@ -572,12 +572,6 @@ class TestLawCheck:
         assert code == 2 and out == ""
         assert "empty entry" in err and repr(spec.partition(":")[2]) in err
 
-    def test_either_separator_gives_the_canonical_report(self):
-        canonical = run_cli(["law-check", "--law", "hls:K=4,pi=1,nu=2,alpha=1/4,1/4",
-                             "--n-max", "3"])
-        assert run_cli(["law-check", "--law", "hls:K=4;pi=1;nu=2;alpha=1/4,1/4",
-                        "--n-max", "3"]) == canonical
-
 
 # the fuzz test's law specs: each family's own keys or a random list of
 # keys, and values of at most 6 colors (K included) so that no run starts
