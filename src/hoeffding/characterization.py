@@ -128,30 +128,18 @@ def coherent_splits(m: int, v: int, z: Sequence[int]) -> Iterator[tuple[int, ...
     """All ways to split the class z of order m into blocks of sizes v and
     m-v, parameterized by the first K-1 counts of the size-v block.
 
-    Emitted vectors k satisfy the chained bounds
-    max(0, z_p - ((m-v) - short_p)) <= k_p <= min(z_p, v - used_p)
-    where used_p and short_p are the units already committed to each
-    block; this is exactly the feasible-split set.
+    A class ka of order v is a split iff ka <= z entrywise, the coherence
+    rule of _group_values; the splits come in increasing lexicographic
+    order of their first K-1 counts.
     """
     z = Composition(z)
     if z.order != m:
         raise ValueError(f"z must have order {m}, got {z.order}")
     if not 0 <= v <= m:
         raise ValueError(f"need 0 <= v <= {m}, got v={v}")
-    head = z.colors - 1
-
-    def rec(p: int, used: int, short: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if p == head:
-            yield tuple(prefix)
-            return
-        lo = max(0, z[p] - ((m - v) - short))
-        hi = min(z[p], v - used)
-        for kp in range(lo, hi + 1):
-            prefix.append(kp)
-            yield from rec(p + 1, used + kp, short + z[p] - kp, prefix)
-            prefix.pop()
-
-    yield from rec(0, 0, 0, [])
+    for ka in reversed(compositions(v, z.colors)):
+        if all(map(le, ka, z)):
+            yield ka[:-1]
 
 
 def symmetrize_bisym(

@@ -155,21 +155,20 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     law = _load_law(args.law)
     statistic = decomp.load_statistic_file(args.statistic, law.K)
     n = statistic.order
-    if args.n is not None and args.n != n:
-        raise ValueError(f"--n {args.n} does not match the statistic's order {n}")
     # an order-0 statistic is a constant, F_0 = T; the law is still checked
     consistency = laws.check_consistency(law, max(n, 1))
     if not consistency.passed:
         raise ValueError(f"law failed consistency: {consistency.failure}")
-    parts = decomp.decompose(law, n, statistic)
-    recon = parts[0]
-    for part in parts[1:]:
+    # each part is its kernel's U-statistic, so the exact sum checks the
+    # kernels too
+    layers = decomp._components(law, n, statistic)
+    recon = layers[0][0]
+    for part, _ in layers[1:]:
         recon = recon + part
     if recon != statistic:
         raise AssertionError("reconstruction is not exact")
     components = []
-    for k, part in enumerate(parts):
-        kernel = decomp.kernel_for(law, n, part, k)
+    for k, (part, kernel) in enumerate(layers):
         if k >= 1:
             check = decomp.is_completely_degenerate(law, kernel)
             degenerate: Optional[bool] = check.degenerate
@@ -396,7 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     dec.add_argument("--law", required=True)
     dec.add_argument("--statistic", required=True, help="statistic JSON file")
-    dec.add_argument("--n", type=_parse_int, help="expected order (cross-checked)")
     dec.add_argument("--out")
     dec.set_defaults(func=_cmd_decompose)
 

@@ -5,7 +5,8 @@ so everything here is indexed by weak compositions: a symmetric kernel of
 order k is an exact map on the compositions of k, a symmetric statistic
 one on the compositions of n.  The module provides U-statistics, the
 nested spaces SU_k they span, exact orthogonal projections onto those
-spaces (the Hoeffding decomposition), complete-degeneracy checks, and a
+spaces (the Hoeffding decomposition, each layer's kernel read off the
+kernels of consecutive projections), complete-degeneracy checks, and a
 brute-force weak-independence oracle that counts sequences block by block
 and reduces each conditioning class's row against the constraints that
 cut out its kernels, independent of the closed forms of
@@ -39,7 +40,6 @@ __all__ = [
     "u_statistic",
     "inner_product",
     "decompose",
-    "kernel_for",
     "DegeneracyCheck",
     "is_completely_degenerate",
     "degenerate_kernel_for",
@@ -145,9 +145,8 @@ def _ustat_matrix(n: int, k: int, colors: int) -> tuple[tuple[int, ...], ...]:
     # k-subsets with counts c inside a sequence with counts i.  For k <= n
     # the rows c + (n-k)e_1 form a triangular block with diagonal
     # C(c_1+n-k, c_1), so the columns are independent: each U-statistic has
-    # one kernel, and for k = n the matrix is the identity.  _solve_kernel
-    # finds it by forward substitution on that block, then an exact
-    # membership check against every row.
+    # one kernel, and for k = n the matrix is the identity.  A statistic in
+    # SU_k is its own SU_k projection, so that kernel is the projection's.
     subs = compositions(k, colors)
     rows = []
     for i in compositions(n, colors):
@@ -250,6 +249,41 @@ def _project_su(
     return [y / den_t for y in linalg.solve_symmetric(gram, rhs)]
 
 
+def _projection_kernel(
+    law: ExchangeableLaw, weights: Sequence[Fraction], statistic: SymmetricStatistic, k: int
+) -> SymmetricKernel:
+    # phi_k, the kernel of the statistic's orthogonal projection onto SU_k;
+    # SU_n is the whole space, so phi_n is the statistic itself
+    n, tvec = statistic.order, statistic.as_vector()
+    coef = tvec if k == n else _project_su(_ustat_matrix(n, k, law.K), weights, tvec)
+    return SymmetricKernel(k, law.K, dict(zip(compositions(k, law.K), coef)))
+
+
+def _components(
+    law: ExchangeableLaw, n: int, statistic: SymmetricStatistic
+) -> list[tuple[SymmetricStatistic, SymmetricKernel]]:
+    # Each layer F_k with its kernel psi_k, for k = 0..n.  F_k is the
+    # U-statistic of phi_k less that of phi_{k-1}.  Each (k-1)-subset lies
+    # in n-k+1 k-subsets, so U_n(phi_{k-1}) = U_n(U_k(phi_{k-1})) / (n-k+1),
+    # and psi_k = phi_k - U_k(phi_{k-1}) / (n-k+1) has F_k = U_n(psi_k).
+    # U_n on order-n kernels is the identity, so F_n = psi_n.
+    if statistic.order != n or statistic.colors != law.K:
+        raise ValueError("statistic must match the stated order and alphabet")
+    weights = _class_weights(law, n)
+    layers = []
+    prev = None
+    for k in range(n + 1):
+        phi = psi = _projection_kernel(law, weights, statistic, k)
+        if prev is not None:
+            lift = u_statistic(prev, k).as_vector()
+            values = {c: v - w / (n - k + 1) for (c, v), w in zip(phi.items(), lift)}
+            psi = SymmetricKernel(k, law.K, values)
+        part = u_statistic(psi, n) if k < n else SymmetricStatistic(n, law.K, dict(psi.items()))
+        layers.append((part, psi))
+        prev = phi
+    return layers
+
+
 def decompose(
     law: ExchangeableLaw, n: int, statistic: SymmetricStatistic
 ) -> list[SymmetricStatistic]:
@@ -257,75 +291,26 @@ def decompose(
 
     F_k is the orthogonal projection of the statistic onto
     SH_k = SU_k intersected with the orthogonal complement of SU_{k-1},
-    computed as the difference of consecutive SU projections.  The parts
-    sum back to the statistic and are pairwise orthogonal under the law.
+    the difference of consecutive SU projections, computed as the
+    U-statistic of its order-k kernel.  The parts sum back to the
+    statistic and are pairwise orthogonal under the law.
     """
-    if statistic.order != n or statistic.colors != law.K:
-        raise ValueError("statistic must match the stated order and alphabet")
-    comps = compositions(n, law.K)
-    tvec = statistic.as_vector(comps)
-    weights = _class_weights(law, n)
-    parts = []
-    prev = [Fraction(0)] * len(comps)
-    for k in range(n + 1):
-        # SU_n is the whole space, so F_n = T - P_{n-1} T
-        if k == n:
-            proj = tvec
-        else:
-            coef = _project_su(_ustat_matrix(n, k, law.K), weights, tvec)
-            phi = SymmetricKernel(k, law.K, dict(zip(compositions(k, law.K), coef)))
-            proj = u_statistic(phi, n).as_vector(comps)
-        values = {c: a - b for c, a, b in zip(comps, proj, prev)}
-        parts.append(SymmetricStatistic(n, law.K, values))
-        prev = proj
-    return parts
+    return [part for part, _ in _components(law, n, statistic)]
 
 
-def _solve_kernel(
-    law: ExchangeableLaw, n: int, statistic: SymmetricStatistic, k: int, caller: str
+def _kernel_of(
+    law: ExchangeableLaw, n: int, statistic: SymmetricStatistic, k: int
 ) -> Optional[SymmetricKernel]:
-    # The kernel of a statistic in SU_k, or None when it is outside.  For
-    # k = n the matrix is the identity and the kernel is the statistic
-    # itself.  For k < n the rows c + (n-k)e_1 fix the kernel by forward
-    # substitution: compositions(k, K) lists c in increasing tail degree,
-    # and that row reaches only columns whose tail is <= c's componentwise.
-    # The kernel's U-statistic then decides membership.
+    # The order-k kernel whose U-statistic is the statistic, or None when
+    # the statistic is outside SU_k: the kernel of its SU_k projection,
+    # kept when that kernel's U-statistic is the statistic.  The kernel is
+    # unique, as the U-statistic map on order-k kernels is injective.
     if statistic.order != n or statistic.colors != law.K:
         raise ValueError("statistic must match the stated order and alphabet")
     if not 0 <= k <= n:
-        raise ValueError(f"{caller} needs 0 <= k <= n, got k={k}")
-    comps = compositions(k, law.K)
-    tvec = statistic.as_vector()
-    if k == n:
-        return SymmetricKernel(k, law.K, dict(zip(comps, tvec)))
-    matrix = _ustat_matrix(n, k, law.K)
-    row_of = {c: r for r, c in enumerate(compositions(n, law.K))}
-    x: list[Fraction] = []
-    for j, c in enumerate(comps):
-        r = row_of[(c[0] + n - k, *c[1:])]
-        row = matrix[r]
-        acc = tvec[r] - sum(row[m] * x[m] for m in range(j) if row[m])
-        x.append(acc / row[j])
-    phi = SymmetricKernel(k, law.K, dict(zip(comps, x)))
-    return phi if u_statistic(phi, n).as_vector() == tvec else None
-
-
-def kernel_for(
-    law: ExchangeableLaw, n: int, statistic: SymmetricStatistic, k: int
-) -> SymmetricKernel:
-    """The unique order-k kernel whose U-statistic equals the statistic.
-
-    The statistic must lie in SU_k.  The U-statistic map on order-k
-    kernels is injective for every k <= n, so the kernel is unique: for
-    k < n it comes from forward substitution on the triangular block of
-    the U-statistic equations, then an exact membership check against the
-    whole system.  The law only fixes the alphabet here: membership in SU_k
-    is a statement about class functions, not probabilities.
-    """
-    phi = _solve_kernel(law, n, statistic, k, "kernel_for")
-    if phi is None:
-        raise ValueError(f"statistic is not in SU_{k}")
-    return phi
+        raise ValueError(f"need 0 <= k <= n, got k={k}")
+    phi = _projection_kernel(law, _class_weights(law, n), statistic, k)
+    return phi if u_statistic(phi, n) == statistic else None
 
 
 @dataclass(frozen=True)
@@ -369,7 +354,7 @@ def degenerate_kernel_for(
     when it is completely degenerate, and None when it is not or when the
     statistic is outside SU_k.  For k = 0 degeneracy is vacuous.
     """
-    phi = _solve_kernel(law, n, statistic, k, "degenerate_kernel_for")
+    phi = _kernel_of(law, n, statistic, k)
     if phi is None or k == 0 or is_completely_degenerate(law, phi).degenerate:
         return phi
     return None

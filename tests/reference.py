@@ -19,11 +19,15 @@ reduces each class's row once and builds only its witness kernel.
 Run as a script, the checks go deeper than the tests: every entry of the
 sweep of a K=4 mixture through n = 6 and of a K=3 mixture through n = 8,
 then the oracle against `basis_oracle` at every order through n = 9 for
-the K=4 reference law and a K=4 mixture (about fifteen seconds):
+the K=4 reference law and a K=4 mixture, then each layer's kernel of an
+order-8 decomposition under a K=4 Polya law and the K=4 reference law
+against one Bareiss solve of its whole U-statistic system (about fifteen
+seconds):
 
     PYTHONPATH=src python tests/reference.py
 """
 
+import random
 import sys
 from fractions import Fraction
 from operator import mul
@@ -34,7 +38,10 @@ from hoeffding.decomp import (
     OracleResult,
     OracleWitness,
     SymmetricKernel,
+    SymmetricStatistic,
+    _components,
     _oracle_rows,
+    _ustat_matrix,
     weak_independence_oracle,
     xi_constraint_matrix,
 )
@@ -47,7 +54,7 @@ from hoeffding.exactnum import (
     multinomial_star,
 )
 from hoeffding.laws import ExchangeableLaw, _as_composition, parse_law
-from hoeffding.linalg import Matrix, _back_substitute, row_echelon
+from hoeffding.linalg import Matrix, _back_substitute, row_echelon, solve
 
 
 def predictive_prob(law: ExchangeableLaw, h: Sequence[int], j: int) -> Rational:
@@ -188,6 +195,10 @@ DEEP_ORACLE = (
     ("hls:K=4,pi=1,nu=2,alpha=1/4,1/4", 9),
     ("mixture:w=1/2,1/2;p1=1/2,1/4,1/8,1/8;p2=1/4,1/4,1/4,1/4", 9),
 )
+DEEP_KERNELS = (
+    ("polya:alpha=1,2,3,4", 8),
+    ("hls:K=4,pi=1,nu=2,alpha=1/4,1/4", 8),
+)
 
 
 def main():
@@ -208,6 +219,16 @@ def main():
             holds.append(res.weakly_independent)
         print(f"{spec} at n = 2..{n_max}: the oracle equals the basis oracle, "
               f"weakly independent: {holds}")
+    for spec, n in DEEP_KERNELS:
+        law = parse_law(spec)
+        rng = random.Random(n)
+        statistic = SymmetricStatistic.from_function(
+            n, law.K, lambda c: Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        for k, (part, kernel) in enumerate(_components(law, n, statistic)):
+            expected = solve(_ustat_matrix(n, k, law.K), part.as_vector())
+            assert kernel.as_vector() == expected, (spec, k)
+        print(f"{spec} at n = {n}: each layer's kernel equals the Bareiss "
+              f"solution of its whole U-statistic system")
     return 0
 
 

@@ -254,13 +254,6 @@ class TestDecompose:
         assert f0["kernel"]["order"] == 0
         assert f0["kernel"]["values"] == f0["values"]
 
-    def test_order_crosscheck(self, tmp_path):
-        path = statistic_file(tmp_path)
-        code, _, err = run_cli(
-            ["decompose", "--law", "iid:p=1/2,1/3,1/6",
-             "--statistic", str(path), "--n", "4"])
-        assert code == 2 and "order" in err
-
     def test_color_mismatch(self, tmp_path):
         path = statistic_file(tmp_path)
         code, _, err = run_cli(
@@ -764,11 +757,6 @@ class TestErrorChannel:
         # subcommand, as main prints every ValueError
         path = str(statistic_file(tmp_path))
         law = "iid:p=1/2,1/3,1/6"
-        code, out, err = run_cli(
-            ["decompose", "--law", law, "--statistic", path, "--n", "4"])
-        assert (code, out, err) == (
-            2, "", "error: --n 4 does not match the statistic's order 3\n")
-
         failure = {"check": "normalization", "n": 3, "composition": None,
                    "detail": "2/1"}
         monkeypatch.setattr(laws, "check_consistency", lambda law, n: laws.ConsistencyReport(

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoeffding import linalg
@@ -31,7 +31,6 @@ from hoeffding.decomp import (
     degenerate_kernel_for,
     inner_product,
     is_completely_degenerate,
-    kernel_for,
     load_statistic_file,
     sh_dims,
     statistic_from_jsonable,
@@ -41,10 +40,11 @@ from hoeffding.decomp import (
     xi_constraint_matrix,
     _block_split_census,
     _class_weights,
+    _components,
     _count_census,
+    _kernel_of,
     _oracle_rows,
     _project_su,
-    _solve_kernel,
     _su_gram,
     _ustat_matrix,
     _xi_kernel,
@@ -59,6 +59,7 @@ from hoeffding.laws import (
     parse_law,
 )
 from reference import basis_oracle, nullspace, nullspace_basis, predictive_prob
+from test_characterization import drawn_laws
 
 IID_REF = parse_law("iid:p=1/2,1/3,1/6")
 POLYA_REF = parse_law("polya:alpha=1,2,3")
@@ -292,8 +293,9 @@ def test_gram_solve_matches_the_general_solver(law):
 
 class TestKernelFor:
     def test_ustat_matrix_has_full_column_rank(self):
-        # kernel_for returns the one solution of its solve as the kernel and
-        # decompose takes SU_n as the whole space; both rest on this
+        # a statistic in SU_k has one order-k kernel, which _kernel_of reads
+        # off its projection, and decompose takes SU_n as the whole space;
+        # both rest on this
         for colors in range(1, 6):
             for n in range(6 if colors == 5 else 7):
                 for k in range(n + 1):
@@ -310,27 +312,24 @@ class TestKernelFor:
             for k in range(0, n + 1):
                 phi = random_kernel(k, 3, rng)
                 f = u_statistic(phi, n)
-                back = kernel_for(IID_REF, n, f, k)
-                assert back.order == k
-                assert u_statistic(back, n) == f
-                # k = n skips eliminating the identity; same kernel
+                back = _kernel_of(IID_REF, n, f, k)
+                assert back == phi
                 x = linalg.solve(_ustat_matrix(n, k, 3), f.as_vector())
                 assert back.as_vector() == x
 
-    @pytest.mark.parametrize("colors", range(1, 6))
-    def test_forward_substitution_matches_bareiss(self, colors):
-        # the triangular solve and membership check against one Bareiss
-        # solve of every row; the law only fixes the alphabet, and no law
-        # family has K = 1
-        rng = random.Random(29 + colors)
-        alphabet = SimpleNamespace(K=colors)
+    @pytest.mark.parametrize("law", [K2_LAWS[0], POLYA_REF, MIX, HLS4, HLS5], ids=format_law)
+    def test_projection_kernel_matches_bareiss(self, law):
+        # the kernel of the SU_k projection, kept when its U-statistic is
+        # the statistic, against one Bareiss solve of the whole U-statistic
+        # system: the same kernel inside SU_k, None outside
+        rng = random.Random(29 + law.K)
         inside = outside = 0
-        for n in range(6 if colors == 5 else 7):
+        for n in range(10 - law.K):
             for k in range(n):
-                matrix = _ustat_matrix(n, k, colors)
-                image = u_statistic(random_kernel(k, colors, rng), n)
-                for f in (image, random_statistic(n, colors, rng)):
-                    phi = _solve_kernel(alphabet, n, f, k, "test")
+                matrix = _ustat_matrix(n, k, law.K)
+                image = u_statistic(random_kernel(k, law.K, rng), n)
+                for f in (image, random_statistic(n, law.K, rng)):
+                    phi = _kernel_of(law, n, f, k)
                     x = linalg.solve(matrix, f.as_vector())
                     if f is image or x is not None:
                         assert phi.as_vector() == x
@@ -338,23 +337,45 @@ class TestKernelFor:
                     else:
                         assert phi is None
                         outside += 1
-        # at K = 1 every statistic is the constant on one class, in SU_0
-        assert inside and (outside or colors == 1)
+        assert inside and outside
 
     def test_constant_statistic_has_constant_kernel_image(self):
         f = SymmetricStatistic.from_function(4, 3, lambda c: math.comb(4, 2))
-        phi = kernel_for(IID_REF, 4, f, 2)
+        phi = _kernel_of(IID_REF, 4, f, 2)
         assert u_statistic(phi, 4) == f
 
     def test_zero_statistic(self):
         zero = SymmetricStatistic.from_function(3, 3, lambda c: 0)
-        phi = kernel_for(HLS3, 3, zero, 2)
-        assert not any(u_statistic(phi, 3).as_vector())
+        phi = _kernel_of(HLS3, 3, zero, 2)
+        assert not any(phi.as_vector())
 
-    def test_membership_failure_raises(self):
+    def test_outside_su_k_gives_none(self):
         t = SymmetricStatistic.from_function(2, 3, lambda c: c[0])
-        with pytest.raises(ValueError, match="SU_0"):
-            kernel_for(IID_REF, 2, t, 0)
+        assert _kernel_of(IID_REF, 2, t, 0) is None
+        assert _kernel_of(IID_REF, 2, t, 1) is not None
+        with pytest.raises(ValueError, match="0 <= k <= n"):
+            _kernel_of(IID_REF, 2, t, 3)
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_components_carry_the_kernels_of_their_parts(data):
+    # each layer's kernel from the lift of consecutive projection kernels
+    # is the one kernel of its part, and the parts are decompose's
+    colors = data.draw(st.integers(2, 4), label="K")
+    law = K2_LAWS[0] if colors == 2 else data.draw(drawn_laws(colors), label="law")
+    n = data.draw(st.integers(0, 4), label="n")
+    comps = compositions(n, colors)
+    values = data.draw(st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+        min_size=len(comps), max_size=len(comps)), label="values")
+    t = SymmetricStatistic(n, colors, dict(zip(comps, values)))
+    layers = _components(law, n, t)
+    assert [part for part, _ in layers] == decompose(law, n, t)
+    for k, (part, kernel) in enumerate(layers):
+        assert kernel.order == k
+        assert u_statistic(kernel, n) == part
+        assert kernel == _kernel_of(law, n, part, k)
 
 
 class TestDegeneracy:
@@ -416,7 +437,7 @@ class TestDegenerateKernelFor:
                 assert phi is not None
                 assert is_completely_degenerate(law, phi).degenerate
                 assert u_statistic(phi, n) == parts[k]
-                assert phi == kernel_for(law, n, parts[k], k)
+                assert phi == _kernel_of(law, n, parts[k], k)
 
     @pytest.mark.parametrize("law", [IID_REF, POLYA_REF, HLS3])
     def test_degenerate_images_are_orthogonal_to_lower_layers(self, law):
