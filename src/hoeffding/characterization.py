@@ -587,28 +587,19 @@ _IDENTITIES = {
 }
 
 
-def check_identity(
-    name: str,
-    pi: Optional[RationalLike] = None,
-    nu: Optional[RationalLike] = None,
-    n_max: Optional[int] = None,
-    u_max: Optional[int] = None,
-    k_max: Optional[int] = None,
-    a_max: Optional[int] = None,
-) -> IdentityResult:
+def check_identity(name: str, **given: Optional[RationalLike]) -> IdentityResult:
     """Run the exhaustive grid for a named identity, stopping at its first
-    failure; unset bounds get the documented defaults.  A bound the
-    identity does not read, or bounds that leave nothing to check, are
-    errors: an empty grid is no verdict."""
+    failure; unset (or None) bounds get the defaults in `_IDENTITIES`.  A
+    bound the identity does not read, or bounds that leave nothing to
+    check, are errors: an empty grid is no verdict."""
     if name not in _IDENTITIES:
         raise ValueError(f"unknown identity {name!r}")
     cases, keys, defaults = _IDENTITIES[name]
-    given = {"pi": pi, "nu": nu, "n_max": n_max, "u_max": u_max, "k_max": k_max, "a_max": a_max}
     for key, value in given.items():
         if value is not None and key not in defaults:
             raise ValueError(f"identity {name} does not take --{key.replace('_', '-')}")
     bounds = {
-        key: default if given[key] is None else given[key]
+        key: default if given.get(key) is None else given[key]
         for key, default in defaults.items()
     }
     checked = 0

@@ -227,19 +227,18 @@ def _parse_rational_vector(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(x) for x in split_entries(text))
 
 
-# the family flags each urn reads (all take --initial); the others are
-# input errors, not ignored
+# the flags each urn family reads; the others are input errors, not ignored
 _URN_FLAGS = {
-    "polya": (),
+    "polya": ("initial",),
     "constant": ("p",),
-    "hls": ("alpha", "pi", "nu", "nu_split"),
+    "hls": ("initial", "pi", "nu", "alpha"),
 }
 
 
 def _build_urn(args: argparse.Namespace) -> tuple[urnsim.UrnState, urnsim.UrnFunction]:
-    for flag in ("p", "pi", "nu", "alpha", "nu_split"):
+    for flag in dict.fromkeys(f for flags in _URN_FLAGS.values() for f in flags):
         if getattr(args, flag) is not None and flag not in _URN_FLAGS[args.urn]:
-            raise ValueError(f"--urn {args.urn} does not take --{flag.replace('_', '-')}")
+            raise ValueError(f"--urn {args.urn} does not take --{flag}")
     if args.urn == "polya":
         if args.initial is None:
             raise ValueError("--urn polya needs --initial counts")
@@ -248,19 +247,15 @@ def _build_urn(args: argparse.Namespace) -> tuple[urnsim.UrnState, urnsim.UrnFun
         if args.p is None:
             raise ValueError("--urn constant needs --p probabilities")
         p = _parse_rational_vector(args.p)
-        if args.initial is not None:
-            state = urnsim.UrnState(_parse_int_vector(args.initial))
-        else:
-            state = urnsim.UrnState((1,) * len(p))
-        return state, urnsim.ConstantUrn(p)
+        return urnsim.UrnState((1,) * len(p)), urnsim.ConstantUrn(p)
     if args.alpha is None:
         raise ValueError("--urn hls needs --alpha ratios")
     alpha = _parse_rational_vector(args.alpha)
     fn = urnsim.HLSUrn(alpha)
     colors = len(alpha) + 2
     if args.initial is not None:
-        if args.pi is not None or args.nu is not None or args.nu_split is not None:
-            raise ValueError("--initial excludes --pi, --nu and --nu-split")
+        if args.pi is not None or args.nu is not None:
+            raise ValueError("--initial excludes --pi and --nu")
         state = urnsim.UrnState(_parse_int_vector(args.initial))
     else:
         if args.pi is None or args.nu is None:
@@ -268,15 +263,7 @@ def _build_urn(args: argparse.Namespace) -> tuple[urnsim.UrnState, urnsim.UrnFun
         pi, nu = args.pi, args.nu
         if pi < 1 or nu < 1:
             raise ValueError("urn construction needs integer pi, nu >= 1")
-        if args.nu_split is not None:
-            split = _parse_int_vector(args.nu_split)
-            if len(split) != colors - 1 or sum(split) != nu:
-                raise ValueError(
-                    f"--nu-split needs {colors - 1} counts summing to {nu}"
-                )
-        else:
-            split = (nu,) + (0,) * (colors - 2)
-        state = urnsim.UrnState((pi, *split))
+        state = urnsim.UrnState((pi, nu) + (0,) * (colors - 2))
     if len(state.counts) != colors:
         raise ValueError(
             f"--initial has {len(state.counts)} colors, alpha implies {colors}"
@@ -353,13 +340,16 @@ def _cmd_law_check(args: argparse.Namespace) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hoeffding",
+        allow_abbrev=False,
         description="Exact verification of Hoeffding decomposability "
         "for exchangeable laws over finite alphabets.",
     )
+    # every parser takes its flags spelled in full, never a prefix
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser(
-        "verify", help="exhaustive criterion sweep (exit 0 iff all values are 0)"
+        "verify", allow_abbrev=False,
+        help="exhaustive criterion sweep (exit 0 iff all values are 0)",
     )
     verify.add_argument("--law", required=True, help="law spec string or JSON file")
     verify.add_argument("--n-max", type=_parse_int, required=True)
@@ -373,8 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--include-zeros",
-        "--zeros-only",  # the older, misleading name, kept as an alias
-        dest="include_zeros",
         type=_parse_bool,
         default=True,
         help="include zero-valued entries in the report; "
@@ -383,7 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=_cmd_verify)
 
     oracle = sub.add_parser(
-        "oracle", help="brute-force weak-independence check for n in [2, n-max]"
+        "oracle", allow_abbrev=False,
+        help="brute-force weak-independence check for n in [2, n-max]",
     )
     oracle.add_argument("--law", required=True)
     oracle.add_argument("--n-max", type=_parse_int, required=True)
@@ -391,18 +380,16 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.set_defaults(func=_cmd_oracle)
 
     dec = sub.add_parser(
-        "decompose", help="Hoeffding decomposition of a statistic JSON file"
+        "decompose", allow_abbrev=False, help="Hoeffding decomposition of a statistic JSON file"
     )
     dec.add_argument("--law", required=True)
     dec.add_argument("--statistic", required=True, help="statistic JSON file")
     dec.add_argument("--out")
     dec.set_defaults(func=_cmd_decompose)
 
-    ident = sub.add_parser("identity", help="exact combinatorial identity grids")
-    ident.add_argument(
-        "name",
-        choices=["sommedentro", "star-vandermonde", "pascal-star", "quandebello"],
-    )
+    ident = sub.add_parser(
+        "identity", allow_abbrev=False, help="exact combinatorial identity grids")
+    ident.add_argument("name", choices=list(characterization._IDENTITIES))
     ident.add_argument("--pi", help="single pi (sommedentro; default: rational grid)")
     ident.add_argument("--nu", help="single nu (sommedentro; default: rational grid)")
     ident.add_argument("--n-max", type=_parse_int)
@@ -412,17 +399,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ident.add_argument("--out")
     ident.set_defaults(func=_cmd_identity)
 
-    sim = sub.add_parser("simulate", help="seeded urn simulation")
-    sim.add_argument("--urn", required=True, choices=["polya", "constant", "hls"])
-    sim.add_argument("--initial", help="comma-separated initial counts")
+    sim = sub.add_parser("simulate", allow_abbrev=False, help="seeded urn simulation")
+    sim.add_argument("--urn", required=True, choices=list(_URN_FLAGS))
+    sim.add_argument("--initial", help="polya, hls: comma-separated initial counts")
     sim.add_argument("--p", help="constant urn probabilities (comma-separated)")
     sim.add_argument("--pi", type=_parse_int, help="hls: first-color weight (urn count)")
     sim.add_argument("--nu", type=_parse_int, help="hls: remaining weight (urn count)")
     sim.add_argument("--alpha", help="hls ratios (comma-separated rationals)")
-    sim.add_argument(
-        "--nu-split",
-        help="hls: how --nu splits over the other colors (default: all on color 2)",
-    )
     sim.add_argument("--steps", type=_parse_int, help="stream one trajectory of this length")
     sim.add_argument("--n", type=_parse_int, help="prefix length for --samples mode")
     sim.add_argument("--samples", type=_parse_int, help="number of independent prefixes")
@@ -435,7 +418,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out")
     sim.set_defaults(func=_cmd_simulate)
 
-    check = sub.add_parser("law-check", help="positivity/consistency sweep of a law")
+    check = sub.add_parser(
+        "law-check", allow_abbrev=False, help="positivity/consistency sweep of a law")
     check.add_argument("--law", required=True)
     check.add_argument("--n-max", type=_parse_int, required=True)
     check.add_argument("--out")

@@ -103,10 +103,8 @@ class _CompositionTable:
         for comp in compositions(self.order, self.colors):
             yield comp, self._values[comp]
 
-    def as_vector(self, comps: Optional[Sequence[Composition]] = None) -> list[Fraction]:
-        if comps is None:
-            comps = compositions(self.order, self.colors)
-        return [self._values[c] for c in comps]
+    def as_vector(self) -> list[Fraction]:
+        return [self._values[c] for c in compositions(self.order, self.colors)]
 
     def __eq__(self, other) -> bool:
         return (

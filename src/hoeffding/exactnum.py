@@ -39,7 +39,7 @@ class Composition(tuple):
 
     Instances behave as ordinary tuples (hashable, comparable, picklable)
     plus a few count-vector helpers.  Note that ``+`` keeps tuple
-    semantics (concatenation); the componentwise sum is :meth:`merge`.
+    semantics (concatenation).
     """
 
     __slots__ = ()
@@ -67,12 +67,6 @@ class Composition(tuple):
         if not 0 <= j < len(self):
             raise ValueError(f"color index {j} out of range for {tuple(self)!r}")
         return Composition(c + 1 if t == j else c for t, c in enumerate(self))
-
-    def merge(self, other: Sequence[int]) -> "Composition":
-        """Componentwise sum: the counts of two blocks pooled together."""
-        if len(other) != len(self):
-            raise ValueError("cannot merge compositions with different color counts")
-        return Composition(a + b for a, b in zip(self, other))
 
 
 def binom_star(a: int, b: int) -> int:

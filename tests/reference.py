@@ -30,7 +30,7 @@ seconds):
 import random
 import sys
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Sequence
 
 from hoeffding.characterization import _K2_HINT, _validate_m, coherent_splits, verify_hd
@@ -119,10 +119,9 @@ def basis_oracle(law: ExchangeableLaw, n: int) -> OracleResult:
     if n < 2:
         raise ValueError("basis_oracle needs n >= 2")
     basis = nullspace_basis(law, n)
-    comps = compositions(n, law.K)
     rows = {}
     for idx, phi in enumerate(basis):
-        support = [(j, v) for j, v in enumerate(phi.as_vector(comps)) if v]
+        support = [(j, v) for j, v in enumerate(phi.as_vector()) if v]
         cols = [j for j, _ in support]
         vec, vden = _common_denominator(v for _, v in support)
         for u in range(2, n + 1):
@@ -175,7 +174,8 @@ def characterization_sum(
                     continue
                 q_full = Composition((*q, u - a))
                 prob = conditional_block_prob(
-                    law, n, u, ka_full.merge(q_full), z.merge(q_full)
+                    law, n, u, Composition(map(add, ka_full, q_full)),
+                    Composition(map(add, z, q_full)),
                 )
                 if prob == 0:
                     continue

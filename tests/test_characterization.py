@@ -207,7 +207,7 @@ class TestSymmetrizeBisym:
 
     def test_block_merged_tables_pass_through(self):
         # if f only sees the merged counts it is already symmetric
-        f = lambda a, b: Fraction(a.merge(b)[0], 7)
+        f = lambda a, b: Fraction(a[0] + b[0], 7)
         z = Composition((2, 0, 1))
         assert symmetrize_bisym(f, 3, 1, z) == Fraction(2, 7)
 
@@ -521,6 +521,10 @@ class TestCheckIdentity:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             check_identity("fermat")
+
+    def test_a_bound_the_identity_does_not_read_is_refused(self):
+        with pytest.raises(ValueError, match="does not take --amax"):
+            check_identity("pascal-star", amax=3)
 
     def test_result_type(self):
         assert isinstance(check_identity("quandebello", n_max=2, k_max=2), IdentityResult)

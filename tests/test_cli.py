@@ -71,10 +71,10 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "oracle" in err
 
-    def test_zeros_only_false_drops_zero_entries(self):
+    def test_include_zeros_false_drops_zero_entries(self):
         code, out, _ = run_cli(
             ["verify", "--law", "iid:p=1/2,1/3,1/6", "--n-max", "2",
-             "--zeros-only", "false"])
+             "--include-zeros", "false"])
         assert code == 0
         assert json.loads(out)["entries"] == []
 
@@ -93,14 +93,13 @@ class TestVerify:
         assert code == 0 and out == ""
         assert json.loads(out_path.read_text())["all_zero"] is True
 
-    def test_include_zeros_and_its_alias_give_identical_bytes(self):
+    def test_include_zeros_is_the_one_spelling(self):
         argv = ["verify", "--law", "mixture:w=1/2,1/2;p1=1/2,1/4,1/4;p2=1/4,1/4,1/2",
                 "--n-max", "3"]
-        for flag in ("true", "false"):
-            new = run_cli(argv + ["--include-zeros", flag])
-            old = run_cli(argv + ["--zeros-only", flag])
-            assert new == old and new[0] == 1
         assert run_cli(argv + ["--include-zeros", "true"]) == run_cli(argv)
+        # the alias it once had is gone
+        code, out, err = run_cli(argv + ["--zeros-only", "false"])
+        assert (code, out) == (2, "") and "--zeros-only" in err
 
     def test_out_file_is_complete_and_leaves_no_temporary(self, tmp_path):
         out_path = tmp_path / "report.json"
@@ -423,16 +422,18 @@ class TestSimulate:
         assert report["law"] == "hls:K=3,pi=1,nu=2,alpha=1/2"
         assert sum(e["count"] for e in report["estimates"]) == 800
 
-    def test_nu_split_changes_initial_not_the_law(self):
-        base = ["simulate", "--urn", "hls", "--pi", "1", "--nu", "2",
-                "--alpha", "1/2", "--samples", "300", "--n", "2",
-                "--seed", "29", "--compare-exact"]
-        code_a, out_a, _ = run_cli(base)
-        code_b, out_b, _ = run_cli(base + ["--nu-split", "1,1"])
+    def test_spreading_nu_changes_initial_not_the_law(self):
+        # the hls law sees the counts only through pi and nu, and so does
+        # every draw
+        base = ["simulate", "--urn", "hls", "--alpha", "1/2", "--samples", "300",
+                "--n", "2", "--seed", "29", "--compare-exact"]
+        code_a, out_a, _ = run_cli(base + ["--pi", "1", "--nu", "2"])
+        code_b, out_b, _ = run_cli(base + ["--initial", "1,1,1"])
         assert code_a == code_b == 0
         a, b = json.loads(out_a), json.loads(out_b)
         assert a["initial"] == [1, 2, 0] and b["initial"] == [1, 1, 1]
         assert a["law"] == b["law"]
+        assert [e["count"] for e in a["estimates"]] == [e["count"] for e in b["estimates"]]
 
     def test_zero_samples(self):
         code, out, _ = run_cli(
@@ -477,7 +478,6 @@ class TestSimulate:
         # the counts come from --initial, so --pi/--nu would only rename the law
         "--urn hls --alpha 1/3 --initial 1,1,1 --pi 5 --nu 5 "
         "--samples 2000 --n 2 --compare-exact --seed 3",
-        "--urn hls --alpha 1/2 --initial 1,1,1 --nu-split 1,1 --steps 3",
         "--urn polya --initial 1,1 --steps 3 --compare-exact",
         "--urn polya --initial 1,1 --steps 3 --n 2",
         # each family reads only its own flags
@@ -485,15 +485,14 @@ class TestSimulate:
         "--urn polya --initial 1,1 --pi 7 --steps 3",
         "--urn polya --initial 1,1 --nu 7 --steps 3",
         "--urn polya --initial 1,1 --alpha 1/2 --steps 3",
-        "--urn polya --initial 1,1 --nu-split 1,1 --steps 3",
         "--urn constant --p 1/2,1/2 --pi 7 --steps 3",
         "--urn constant --p 1/2,1/2 --nu 7 --steps 3",
         "--urn constant --p 1/2,1/2 --alpha 1/2 --steps 3",
-        "--urn constant --p 1/2,1/2 --nu-split 1,1 --steps 3",
+        "--urn constant --p 1/2,1/2 --initial 1,1 --steps 3",
         "--urn hls --pi 1 --nu 2 --alpha 1/2 --p 1/3,1/3,1/3 --steps 3",
-    ], ids=["initial-pi-nu", "initial-nu-split", "steps-compare-exact", "steps-n",
-            "polya-p", "polya-pi", "polya-nu", "polya-alpha", "polya-nu-split",
-            "constant-pi", "constant-nu", "constant-alpha", "constant-nu-split",
+    ], ids=["initial-pi-nu", "steps-compare-exact", "steps-n",
+            "polya-p", "polya-pi", "polya-nu", "polya-alpha",
+            "constant-pi", "constant-nu", "constant-alpha", "constant-initial",
             "hls-p"])
     def test_ignored_flags_are_input_errors(self, argv):
         code, out, err = run_cli(["simulate", *argv.split()])
@@ -521,12 +520,6 @@ class TestSimulate:
             ["simulate", *argv.split(), "--samples", "50", "--n", "2",
              "--compare-exact", "--seed", "1"])
         assert (code, out, err) == (2, "", f"error: {message}\n")
-
-    def test_bad_nu_split(self):
-        code, _, err = run_cli(
-            ["simulate", "--urn", "hls", "--pi", "1", "--nu", "2",
-             "--alpha", "1/2", "--nu-split", "1,2", "--steps", "3"])
-        assert code == 2 and err.startswith("error:")
 
 
 class TestLawCheck:
@@ -797,6 +790,26 @@ class TestErrorChannel:
         assert first == b"{\n" and err == b""
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--law", "hls:K=3,pi=1,nu=2,alpha=1/2", "--n-max", "2", "--inc", "false"],
+    ["oracle", "--law", "iid:p=1/2,1/2", "--n-max", "2", "--ou", "{}"],
+    ["decompose", "--law", "iid:p=1/2,1/2", "--statistic", "stat.json", "--ou", "{}"],
+    ["identity", "pascal-star", "--a", "3"],
+    ["simulate", "--urn", "polya", "--initial", "1,1", "--samp", "10", "--n", "2"],
+    ["simulate", "--urn", "polya", "--initial", "1,1", "--samples", "10", "--n", "2",
+     "--se", "3", "--comp"],
+    ["law-check", "--law", "iid:p=1/2,1/2", "--n-max", "2", "--ou", "{}"],
+], ids=["verify-inc", "oracle-ou", "decompose-ou", "identity-a", "simulate-samp",
+        "simulate-se-comp", "law-check-ou"])
+def test_a_flag_prefix_is_a_usage_error(tmp_path, argv):
+    # each flag has one spelling, in full, on every subcommand
+    report = tmp_path / "report.json"
+    code, out, err = run_cli([a.format(report) for a in argv])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --" in err
+    assert not report.exists()
+
+
 HLS_URN = ["simulate", "--urn", "hls", "--alpha", "1/2", "--steps", "2"]
 
 
@@ -809,8 +822,7 @@ class TestIntegerFlags:
         ["simulate", "--urn", "polya", "--initial", "1,{},3", "--steps", "2"],
         [*HLS_URN, "--pi", "{}", "--nu", "2"],
         [*HLS_URN, "--pi", "1", "--nu", "{}"],
-        [*HLS_URN, "--pi", "1", "--nu", "2", "--nu-split", "{},1"],
-    ], ids=["type-int", "identity", "seed", "initial", "pi", "nu", "nu-split"])
+    ], ids=["type-int", "identity", "seed", "initial", "pi", "nu"])
     def test_only_ascii_digits_are_integers(self, argv, value):
         # int() would read each of these as the number it spells
         code, out, err = run_cli([a.format(value) for a in argv])
@@ -836,8 +848,7 @@ class TestVectorFlags:
         (["simulate", "--urn", "constant", "--p", "{}", "--steps", "2"], "1/2", "1/2"),
         (["simulate", "--urn", "hls", "--alpha", "{}", "--pi", "1", "--nu", "2",
           "--steps", "2"], "1/4", "1/4"),
-        ([*HLS_URN, "--pi", "1", "--nu", "2", "--nu-split", "{}"], "1", "1"),
-    ], ids=["initial", "p", "alpha", "nu-split"])
+    ], ids=["initial", "p", "alpha"])
     def test_empty_entries_are_input_errors(self, argv, a, b):
         # each list is valid once its empty entries are dropped, as they
         # once were; an empty value is not an absent flag either

@@ -247,14 +247,11 @@ class TestComposition:
         c = Composition((2, 0, 1))
         assert c.order == 3 and c.colors == 3
         assert tuple(c.increment(1)) == (2, 1, 1)
-        assert tuple(c.merge((1, 1, 0))) == (3, 1, 1)
         with pytest.raises(ValueError):
             c.increment(3)
-        with pytest.raises(ValueError):
-            c.merge((1, 1))
 
     def test_plus_is_tuple_concatenation(self):
-        # inherited tuple behavior; merge is the componentwise sum
+        # inherited tuple behavior, not the componentwise sum
         c = Composition((1, 0))
         assert c + c == (1, 0, 1, 0)
 

@@ -135,7 +135,7 @@ SIMULATE_GOLDEN = {
         "--urn hls --pi 1 --nu 2 --alpha 1/2 --samples 2000 --n 3 --compare-exact --seed 7",
         (0, "bd004fca61b9220c38fdf536f1a9c2f91f0e04951b031558a4fa70cf77eb0df6")),
     "hls4-split-samples": (
-        "--urn hls --pi 2 --nu 3 --alpha 1/4,1/3 --nu-split 1,2,0 "
+        "--urn hls --alpha 1/4,1/3 --initial 2,1,2,0 "
         "--samples 2000 --n 3 --compare-exact --seed 7",
         (0, "7c1356bb979cc00a4874a24945328b2f2fe30e7bdf47869ea6c450d95c450197")),
 }
