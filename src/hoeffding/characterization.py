@@ -209,7 +209,7 @@ class VerificationReport:
     def all_zero(self) -> bool:
         return self.first_nonzero is None
 
-    @property
+    @cached_property
     def first_nonzero(self) -> Optional[VerificationEntry]:
         for n, u, z, values in self.groups:
             for m, v in zip(xi_index_set(n, len(z)), values):

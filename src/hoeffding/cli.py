@@ -201,16 +201,16 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
+def _identity_bounds() -> dict[str, Optional[int]]:
+    # every bound that some identity's grid reads, in table order, with a
+    # default given for it: an int makes an integer flag, None a rational
+    return dict(item for *_, defaults in characterization._IDENTITIES.values()
+                for item in defaults.items())
+
+
 def _cmd_identity(args: argparse.Namespace) -> int:
     result = characterization.check_identity(
-        args.name,
-        pi=args.pi,
-        nu=args.nu,
-        n_max=args.n_max,
-        u_max=args.u_max,
-        k_max=args.k_max,
-        a_max=args.a_max,
-    )
+        args.name, **{bound: getattr(args, bound) for bound in _identity_bounds()})
     _emit(result.to_jsonable(), args.out)
     return 0 if result.holds else 1
 
@@ -368,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="include zero-valued entries in the report; "
         "false keeps only nonzero entries (default true)",
     )
-    verify.set_defaults(func=_cmd_verify)
+    verify.set_defaults(func=_cmd_verify, parser=verify)
 
     oracle = sub.add_parser(
         "oracle", allow_abbrev=False,
@@ -377,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--law", required=True)
     oracle.add_argument("--n-max", type=_parse_int, required=True)
     oracle.add_argument("--out")
-    oracle.set_defaults(func=_cmd_oracle)
+    oracle.set_defaults(func=_cmd_oracle, parser=oracle)
 
     dec = sub.add_parser(
         "decompose", allow_abbrev=False, help="Hoeffding decomposition of a statistic JSON file"
@@ -385,19 +385,17 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--law", required=True)
     dec.add_argument("--statistic", required=True, help="statistic JSON file")
     dec.add_argument("--out")
-    dec.set_defaults(func=_cmd_decompose)
+    dec.set_defaults(func=_cmd_decompose, parser=dec)
 
     ident = sub.add_parser(
         "identity", allow_abbrev=False, help="exact combinatorial identity grids")
     ident.add_argument("name", choices=list(characterization._IDENTITIES))
-    ident.add_argument("--pi", help="single pi (sommedentro; default: rational grid)")
-    ident.add_argument("--nu", help="single nu (sommedentro; default: rational grid)")
-    ident.add_argument("--n-max", type=_parse_int)
-    ident.add_argument("--u-max", type=_parse_int)
-    ident.add_argument("--k-max", type=_parse_int)
-    ident.add_argument("--a-max", type=_parse_int)
+    for bound, default in _identity_bounds().items():
+        ident.add_argument(
+            "--" + bound.replace("_", "-"), type=None if default is None else _parse_int,
+            help=f"single {bound} (default: rational grid)" if default is None else None)
     ident.add_argument("--out")
-    ident.set_defaults(func=_cmd_identity)
+    ident.set_defaults(func=_cmd_identity, parser=ident)
 
     sim = sub.add_parser("simulate", allow_abbrev=False, help="seeded urn simulation")
     sim.add_argument("--urn", required=True, choices=list(_URN_FLAGS))
@@ -416,20 +414,23 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cross-check estimates against the matching exact law (exit 1 on a miss)",
     )
     sim.add_argument("--out")
-    sim.set_defaults(func=_cmd_simulate)
+    sim.set_defaults(func=_cmd_simulate, parser=sim)
 
     check = sub.add_parser(
         "law-check", allow_abbrev=False, help="positivity/consistency sweep of a law")
     check.add_argument("--law", required=True)
     check.add_argument("--n-max", type=_parse_int, required=True)
     check.add_argument("--out")
-    check.set_defaults(func=_cmd_law_check)
+    check.set_defaults(func=_cmd_law_check, parser=check)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    # an unknown flag is reported under its own subcommand's usage line
+    args, unknown = _build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         code = args.func(args)
         sys.stdout.flush()

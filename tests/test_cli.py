@@ -799,13 +799,17 @@ class TestErrorChannel:
     ["simulate", "--urn", "polya", "--initial", "1,1", "--samples", "10", "--n", "2",
      "--se", "3", "--comp"],
     ["law-check", "--law", "iid:p=1/2,1/2", "--n-max", "2", "--ou", "{}"],
+    ["verify", "--law", "hls:K=3,pi=1,nu=2,alpha=1/2", "--n-max", "2", "--bogus", "1",
+     "--out", "{}"],
 ], ids=["verify-inc", "oracle-ou", "decompose-ou", "identity-a", "simulate-samp",
-        "simulate-se-comp", "law-check-ou"])
+        "simulate-se-comp", "law-check-ou", "verify-bogus"])
 def test_a_flag_prefix_is_a_usage_error(tmp_path, argv):
-    # each flag has one spelling, in full, on every subcommand
+    # each flag has one spelling, in full, on every subcommand; a prefix or
+    # an unknown flag gets that subcommand's own usage line
     report = tmp_path / "report.json"
     code, out, err = run_cli([a.format(report) for a in argv])
     assert code == 2 and out == ""
+    assert err.startswith(f"usage: hoeffding {argv[0]} ")
     assert "unrecognized arguments: --" in err
     assert not report.exists()
 

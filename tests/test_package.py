@@ -1,6 +1,7 @@
 """The top-level package exports exactly what the README's Library section
 uses, and that section runs as written; the README's Command line section
-names exactly the options of the parser; and each submodule exports, and
+names exactly the options of the parser, whose identity bounds and urn
+flags are the CLI's name tables; and each submodule exports, and
 each class defines as public, only what the package or the acceptance
 criteria use."""
 
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import hoeffding
-from hoeffding import cli
+from hoeffding import characterization, cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -49,6 +50,16 @@ def test_readme_command_line_names_exactly_the_parser_options():
     commands = re.search(r"\{([a-z,-]+)\}", help_text([])).group(1).split(",")
     options = {opt for command in commands for opt in LONG_OPTION.findall(help_text([command]))}
     assert set(LONG_OPTION.findall(section)) == options - {"--help"}
+
+
+def test_cli_name_tables_match_the_parsers():
+    # each identity bound is a flag of identity, and each named urn flag a
+    # flag of simulate: a flag the command would not pass on cannot exist
+    bounds = {"--" + bound.replace("_", "-")
+              for *_, defaults in characterization._IDENTITIES.values() for bound in defaults}
+    assert set(LONG_OPTION.findall(help_text(["identity"]))) - {"--help", "--out"} == bounds
+    urn_flags = {"--" + flag for flags in cli._URN_FLAGS.values() for flag in flags}
+    assert urn_flags <= set(LONG_OPTION.findall(help_text(["simulate"])))
 
 
 SRC = Path(hoeffding.__file__).resolve().parent
