@@ -33,6 +33,7 @@ from .exactnum import (
     Rational,
     RationalLike,
     _common_denominator,
+    _positions,
     beta_ratio,
     binom_star,
     compositions,
@@ -109,14 +110,11 @@ def xi_basis_kernel(law: ExchangeableLaw, n: int, m: Sequence[int]) -> Symmetric
     m = _validate_m(m, n, colors)
     ref = Composition((0, *m, n - sum(m)))
     p_ref = cylinder_prob(law, ref)
-    values: dict[Composition, Fraction] = {}
+    values = []
     for i in compositions(n, colors):
         star = multinomial_star(i[0], tuple(m[t] - i[t + 1] for t in range(colors - 2)))
-        if star == 0:
-            values[i] = Fraction(0)
-        else:
-            sign = -1 if i[0] % 2 else 1
-            values[i] = sign * star * p_ref / cylinder_prob(law, i)
+        sign = -1 if i[0] % 2 else 1
+        values.append(sign * star * p_ref / cylinder_prob(law, i) if star else Fraction(0))
     return SymmetricKernel(n, colors, values)
 
 
@@ -320,7 +318,7 @@ def _plan(n: int, u: int, colors: int) -> tuple[
     multinomial(n-u, ka) and the position of ka+q in compositions(n, K)
     for every q, in allocation order; and multinomial(u-1, kb) for each
     class kb of order u-1, keyed by kb."""
-    where = {i: j for j, i in enumerate(compositions(n, colors))}
+    where = _positions(n, colors)
     allocations = compositions(u, colors)
     splits = tuple(
         (ka, multinomial(n - u, ka[:-1]),

@@ -427,10 +427,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    # an unknown flag is reported under its own subcommand's usage line
-    args, unknown = _build_parser().parse_known_args(argv)
+    # an unknown word goes to the parser that read it (the top one has only -h)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser()
+    args, unknown = parser.parse_known_args(argv)
     if unknown:
-        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+        owner = args.parser if argv[0] == args.command else parser
+        owner.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -2,15 +2,16 @@
 
 Statistics of an exchangeable sequence are functions of the color counts,
 so everything here is indexed by weak compositions: a symmetric kernel of
-order k is an exact map on the compositions of k, a symmetric statistic
-one on the compositions of n.  The module provides U-statistics, the
-nested spaces SU_k they span, exact orthogonal projections onto those
-spaces (the Hoeffding decomposition, each layer's kernel read off the
-kernels of consecutive projections), complete-degeneracy checks, and a
-brute-force weak-independence oracle that counts sequences block by block
-and reduces each conditioning class's row against the constraints that
-cut out its kernels, independent of the closed forms of
-`characterization`.
+order k is one vector of exact values in compositions(k, K) order, a
+symmetric statistic one in compositions(n, K) order, and one value is
+read through the class index exactnum._positions.  The module provides
+U-statistics, the nested spaces SU_k they span, exact orthogonal
+projections onto those spaces (the Hoeffding decomposition, each layer's
+kernel read off the kernels of consecutive projections), checks of
+complete degeneracy, and a brute-force weak-independence oracle that
+counts sequences block by block and reduces each conditioning class's row
+against the constraints that cut out its kernels, independent of the
+closed forms of `characterization`.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg
 from .exactnum import (
     Composition,
     Rational,
     _common_denominator,
+    _positions,
     class_size,
     compositions,
     format_rational,
@@ -55,75 +57,49 @@ __all__ = [
 
 
 class _CompositionTable:
-    """An exact value for every composition of a fixed order."""
+    """An exact value for every composition of a fixed order, as one vector
+    in compositions(order, colors) order."""
 
-    __slots__ = ("order", "colors", "_values")
+    __slots__ = ("order", "colors", "_vector")
 
-    def __init__(self, order: int, colors: int, values: Mapping) -> None:
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        if colors < 1:
-            raise ValueError("need at least one color")
-        # refuse a short table before enumerating its grid: count its
-        # C(order + k, k) compositions over k + 1 colors only up to the
-        # number listed
-        grid, k = 1, 1
-        while order and k < colors and grid <= len(values):
-            grid, k = grid * (order + k) // k, k + 1
-        if grid > len(values):
+    def __init__(self, order: int, colors: int, vector: Iterable) -> None:
+        self.order, self.colors, self._vector = order, colors, tuple(vector)
+        # the grid's size from its count, never by enumerating it
+        if order < 0 or colors < 1 or len(self._vector) != math.comb(order + colors - 1, order):
             raise ValueError(
-                f"missing values: {len(values)} listed, fewer than the compositions"
-                f" of {order} into {colors} colors")
-        complete: dict[Composition, Fraction] = {}
-        for comp in compositions(order, colors):
-            if comp not in values:
-                raise ValueError(f"missing value for composition {tuple(comp)}")
-            complete[comp] = parse_rational(values[comp])
-        if len(values) != len(complete):
-            extras = sorted(tuple(k) for k in values if k not in complete)
-            raise ValueError(f"values off the order-{order} grid: {extras}")
-        self.order = order
-        self.colors = colors
-        self._values = complete
+                f"{len(self._vector)} values for the order-{order} grid over {colors} colors")
 
     @classmethod
     def from_function(cls, order: int, colors: int, fn: Callable) :
-        return cls(order, colors, {c: fn(c) for c in compositions(order, colors)})
+        return cls(order, colors, [parse_rational(fn(c)) for c in compositions(order, colors)])
 
     def __call__(self, comp: Sequence[int]) -> Rational:
         key = comp if isinstance(comp, tuple) else tuple(comp)
         try:
-            return self._values[key]
+            return self._vector[_positions(self.order, self.colors)[key]]
         except KeyError:
             raise ValueError(
                 f"composition {tuple(comp)} is not on the order-{self.order} grid"
             ) from None
 
     def items(self):
-        for comp in compositions(self.order, self.colors):
-            yield comp, self._values[comp]
+        return zip(compositions(self.order, self.colors), self._vector)
 
     def as_vector(self) -> list[Fraction]:
-        return [self._values[c] for c in compositions(self.order, self.colors)]
+        return list(self._vector)
 
     def __eq__(self, other) -> bool:
         return (
             type(self) is type(other)
             and self.order == other.order
             and self.colors == other.colors
-            and self._values == other._values
+            and self._vector == other._vector
         )
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.order, tuple(self.as_vector())))
 
     def __add__(self, other):
         if type(self) is not type(other) or self.order != other.order or self.colors != other.colors:
             raise ValueError("operands must share type, order and colors")
-        return type(self)(
-            self.order, self.colors,
-            {c: v + other._values[c] for c, v in self._values.items()},
-        )
+        return type(self)(self.order, self.colors, map(add, self._vector, other._vector))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(order={self.order}, colors={self.colors})"
@@ -173,10 +149,7 @@ def u_statistic(phi: SymmetricKernel, n: int) -> SymmetricStatistic:
         raise ValueError(f"kernel order {phi.order} exceeds statistic order {n}")
     nums, den = _common_denominator(phi.as_vector())
     matrix = _ustat_matrix(n, phi.order, phi.colors)
-    values = {
-        i: Fraction(sum(w * v for w, v in zip(row, nums) if w), den)
-        for i, row in zip(compositions(n, phi.colors), matrix)
-    }
+    values = [Fraction(sum(w * v for w, v in zip(row, nums) if w), den) for row in matrix]
     return SymmetricStatistic(n, phi.colors, values)
 
 
@@ -254,7 +227,7 @@ def _projection_kernel(
     # SU_n is the whole space, so phi_n is the statistic itself
     n, tvec = statistic.order, statistic.as_vector()
     coef = tvec if k == n else _project_su(_ustat_matrix(n, k, law.K), weights, tvec)
-    return SymmetricKernel(k, law.K, dict(zip(compositions(k, law.K), coef)))
+    return SymmetricKernel(k, law.K, coef)
 
 
 def _components(
@@ -274,9 +247,9 @@ def _components(
         phi = psi = _projection_kernel(law, weights, statistic, k)
         if prev is not None:
             lift = u_statistic(prev, k).as_vector()
-            values = {c: v - w / (n - k + 1) for (c, v), w in zip(phi.items(), lift)}
+            values = [v - w / (n - k + 1) for v, w in zip(phi.as_vector(), lift)]
             psi = SymmetricKernel(k, law.K, values)
-        part = u_statistic(psi, n) if k < n else SymmetricStatistic(n, law.K, dict(psi.items()))
+        part = u_statistic(psi, n) if k < n else SymmetricStatistic(n, law.K, psi.as_vector())
         layers.append((part, psi))
         prev = phi
     return layers
@@ -329,15 +302,13 @@ def is_completely_degenerate(law: ExchangeableLaw, phi: SymmetricKernel) -> Dege
         raise ValueError("complete degeneracy concerns kernels of order >= 1")
     if phi.colors != law.K:
         raise ValueError("kernel and law must share one alphabet")
-    cylinder = law.cylinder
-    for h in compositions(phi.order - 1, law.K):
+    cylinder, comps, values = law.cylinder, compositions(phi.order, law.K), phi.as_vector()
+    rows, _ = _xi_pivots(phi.order, law.K)
+    for h, (pivot, others) in zip(compositions(phi.order - 1, law.K), rows):
         ph = cylinder(h)
         if ph == 0:
             raise ValueError("conditioning class has zero probability")
-        acc = Fraction(0)
-        for j in range(law.K):
-            target = h.increment(j)
-            acc += cylinder(target) / ph * phi(target)
+        acc = sum(cylinder(comps[t]) * values[t] for t in (pivot, *others)) / ph
         if acc != 0:
             return DegeneracyCheck(False, (h, acc))
     return DegeneracyCheck(True, None)
@@ -364,14 +335,12 @@ def xi_constraint_matrix(law: ExchangeableLaw, n: int) -> list[list[Fraction]]:
     order n-1, with coefficient P_n(h + e_j) on the column of h + e_j."""
     if n < 1:
         raise ValueError("xi_constraint_matrix needs n >= 1")
-    comps_n = compositions(n, law.K)
-    col = {c: idx for idx, c in enumerate(comps_n)}
+    comps = compositions(n, law.K)
     rows = []
-    for h in compositions(n - 1, law.K):
-        row = [Fraction(0)] * len(comps_n)
-        for j in range(law.K):
-            target = h.increment(j)
-            row[col[target]] += law.cylinder(target)
+    for pivot, others in _xi_pivots(n, law.K)[0]:
+        row = [Fraction(0)] * len(comps)
+        for t in (pivot, *others):
+            row[t] = law.cylinder(comps[t])
         rows.append(row)
     return rows
 
@@ -382,7 +351,7 @@ def _xi_pivots(n: int, colors: int) -> tuple[tuple[tuple[int, tuple[int, ...]], 
     # of order n-1 in order (h_1 decreasing), as (pivot h + e_1, columns
     # h + e_j for j >= 2), and the free columns, the i with i_1 = 0.  A
     # row's other columns are free or the pivot of a later row.
-    col = {c: idx for idx, c in enumerate(compositions(n, colors))}
+    col = _positions(n, colors)
     rows = tuple(
         (col[h.increment(0)], tuple(col[h.increment(j)] for j in range(1, colors)))
         for h in compositions(n - 1, colors)
@@ -402,7 +371,7 @@ def _xi_kernel(law: ExchangeableLaw, n: int, f: int) -> SymmetricKernel:
     for pivot, others in reversed(rows):
         psi[pivot] = -sum(psi[j] for j in others)
     pf = law.cylinder(comps[f])
-    values = {c: pf * s / law.cylinder(c) if s else Fraction(0) for c, s in zip(comps, psi)}
+    values = [pf * s / law.cylinder(c) if s else Fraction(0) for c, s in zip(comps, psi)]
     return SymmetricKernel(n, law.K, values)
 
 
@@ -450,7 +419,7 @@ def _oracle_rows(
     # symmetrized shift expectation of phi over the class, total being the
     # census size of z; that scale is kept with the row.
     cylinder, colors = law.cylinder, law.K
-    col = {c: j for j, c in enumerate(compositions(n, colors))}
+    col = _positions(n, colors)
     targets = compositions(n - 1 + u, colors)
     nums, den = _common_denominator(map(cylinder, targets))
     num_of = dict(zip(targets, nums))
@@ -602,7 +571,29 @@ def statistic_from_jsonable(obj: dict, law_colors: Optional[int] = None) -> Symm
         if comp in values:
             raise ValueError(f"composition {list(comp)} is listed more than once")
         values[comp] = value
-    return SymmetricStatistic(order, colors, values)
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    if colors < 1:
+        raise ValueError("need at least one color")
+    # refuse a short table before enumerating its grid: count its
+    # C(order + k, k) compositions over k + 1 colors only up to the
+    # number listed
+    grid, k = 1, 1
+    while order and k < colors and grid <= len(values):
+        grid, k = grid * (order + k) // k, k + 1
+    if grid > len(values):
+        raise ValueError(
+            f"missing values: {len(values)} listed, fewer than the compositions"
+            f" of {order} into {colors} colors")
+    vector = []
+    for comp in compositions(order, colors):
+        if comp not in values:
+            raise ValueError(f"missing value for composition {tuple(comp)}")
+        vector.append(values[comp])
+    if len(values) != len(vector):
+        extras = sorted(tuple(k) for k in values if k not in _positions(order, colors))
+        raise ValueError(f"values off the order-{order} grid: {extras}")
+    return SymmetricStatistic(order, colors, vector)
 
 
 def load_statistic_file(path: str, law_colors: Optional[int] = None) -> SymmetricStatistic:

@@ -187,6 +187,12 @@ def compositions(total: int, parts: int) -> tuple[Composition, ...]:
     return tuple(Composition(t) for t in _composition_tuples(total, parts))
 
 
+@lru_cache(maxsize=None)
+def _positions(total: int, parts: int) -> dict[Composition, int]:
+    # each composition's position in compositions(total, parts); shared, so read-only
+    return {c: j for j, c in enumerate(compositions(total, parts))}
+
+
 def class_size(i: Sequence[int]) -> int:
     """Number of sequences whose color counts equal the composition ``i``."""
     return multinomial(sum(i), tuple(i))

@@ -104,11 +104,7 @@ def nullspace_basis(law: ExchangeableLaw, n: int) -> list[SymmetricKernel]:
     """The order-n kernels killed by conditioning on all but the first
     coordinate: the null space of `xi_constraint_matrix` by elimination,
     one kernel per free column."""
-    comps = compositions(n, law.K)
-    return [
-        SymmetricKernel(n, law.K, dict(zip(comps, vec)))
-        for vec in nullspace(xi_constraint_matrix(law, n))
-    ]
+    return [SymmetricKernel(n, law.K, vec) for vec in nullspace(xi_constraint_matrix(law, n))]
 
 
 def basis_oracle(law: ExchangeableLaw, n: int) -> OracleResult:

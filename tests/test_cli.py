@@ -801,15 +801,18 @@ class TestErrorChannel:
     ["law-check", "--law", "iid:p=1/2,1/2", "--n-max", "2", "--ou", "{}"],
     ["verify", "--law", "hls:K=3,pi=1,nu=2,alpha=1/2", "--n-max", "2", "--bogus", "1",
      "--out", "{}"],
+    ["--bogus", "verify", "--law", "iid:p=1/2,1/2", "--n-max", "2", "--out", "{}"],
 ], ids=["verify-inc", "oracle-ou", "decompose-ou", "identity-a", "simulate-samp",
-        "simulate-se-comp", "law-check-ou", "verify-bogus"])
+        "simulate-se-comp", "law-check-ou", "verify-bogus", "top-bogus"])
 def test_a_flag_prefix_is_a_usage_error(tmp_path, argv):
     # each flag has one spelling, in full, on every subcommand; a prefix or
-    # an unknown flag gets that subcommand's own usage line
+    # an unknown flag gets the usage line of the parser that read it: the
+    # subcommand's, or the top-level one's for a flag before the subcommand
     report = tmp_path / "report.json"
     code, out, err = run_cli([a.format(report) for a in argv])
     assert code == 2 and out == ""
-    assert err.startswith(f"usage: hoeffding {argv[0]} ")
+    owner = "[-h]" if argv[0].startswith("-") else argv[0]
+    assert err.split()[:3] == ["usage:", "hoeffding", owner]
     assert "unrecognized arguments: --" in err
     assert not report.exists()
 

@@ -101,19 +101,13 @@ def ustat_by_position_subsets(phi, seq):
 
 
 def random_kernel(order, colors, rng):
-    values = {
-        c: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        for c in compositions(order, colors)
-    }
-    return SymmetricKernel(order, colors, values)
+    return SymmetricKernel.from_function(
+        order, colors, lambda c: Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
 
 
 def random_statistic(order, colors, rng):
-    values = {
-        c: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        for c in compositions(order, colors)
-    }
-    return SymmetricStatistic(order, colors, values)
+    return SymmetricStatistic.from_function(
+        order, colors, lambda c: Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
 
 
 class TestUStatistic:
@@ -370,7 +364,7 @@ def test_components_carry_the_kernels_of_their_parts(data):
     values = data.draw(st.lists(
         st.fractions(min_value=-9, max_value=9, max_denominator=12),
         min_size=len(comps), max_size=len(comps)), label="values")
-    t = SymmetricStatistic(n, colors, dict(zip(comps, values)))
+    t = SymmetricStatistic(n, colors, values)
     layers = _components(law, n, t)
     assert [part for part, _ in layers] == decompose(law, n, t)
     for k, (part, kernel) in enumerate(layers):
@@ -414,6 +408,31 @@ class TestDegeneracy:
             is_completely_degenerate(IID_REF, SymmetricKernel.from_function(0, 3, lambda c: 1))
 
 
+@pytest.mark.parametrize("law", ALL_LAWS)
+def test_degeneracy_check_agrees_with_the_constraint_rows(law):
+    # both read the conditioning rows of _xi_pivots: a kernel is completely
+    # degenerate exactly when it dots every row of xi_constraint_matrix to
+    # 0, and the witness residual is the first nonzero dot product / P(h)
+    rng = random.Random(35)
+    for k in range(1, 5):
+        rows = xi_constraint_matrix(law, k)
+        null = nullspace(rows)
+        coefs = [rng.randint(-5, 5) for _ in null]
+        degenerate = [sum(c * v[idx] for c, v in zip(coefs, null)) for idx in range(len(rows[0]))]
+        perturbed = list(degenerate)
+        perturbed[rng.randrange(len(perturbed))] += 1
+        kernels = [random_kernel(k, law.K, rng)] + [
+            SymmetricKernel(k, law.K, vec) for vec in (degenerate, perturbed)]
+        for phi in kernels:
+            dots = [sum(a * v for a, v in zip(row, phi.as_vector())) for row in rows]
+            check = is_completely_degenerate(law, phi)
+            assert check.degenerate == (not any(dots))
+            if not check.degenerate:
+                first = next(r for r, dot in enumerate(dots) if dot)
+                h = compositions(k - 1, law.K)[first]
+                assert check.witness == (h, dots[first] / cylinder_prob(law, h))
+
+
 def degeneracy_rows(law, k):
     comps_k = compositions(k, law.K)
     col = {c: idx for idx, c in enumerate(comps_k)}
@@ -454,7 +473,7 @@ class TestDegenerateKernelFor:
                     sum((c * v[idx] for c, v in zip(coefs, null)), Fraction(0))
                     for idx in range(len(null[0]))
                 ]
-                phi = SymmetricKernel(k, law.K, dict(zip(compositions(k, law.K), vec)))
+                phi = SymmetricKernel(k, law.K, vec)
                 assert is_completely_degenerate(law, phi).degenerate
                 image = u_statistic(phi, n)
                 for c in compositions(k - 1, law.K):
@@ -749,12 +768,25 @@ class TestShDims:
             assert sum(dims) == math.comb(n + law.K - 1, law.K - 1)
 
 
+def statistic_json(values):
+    return {"order": 2, "K": 3, "values": [
+        {"composition": list(c), "value": v} for c, v in values.items()]}
+
+
 class TestTables:
     def test_total_map_required(self):
         grid = compositions(2, 3)
         partial = {c: 1 for c in grid[:-1]}
         with pytest.raises(ValueError, match="missing value"):
-            SymmetricStatistic(2, 3, partial)
+            statistic_from_jsonable(statistic_json(partial))
+
+    def test_a_vector_of_the_wrong_length_is_refused(self):
+        with pytest.raises(ValueError, match="6 values for the order-2 grid over 4 colors"):
+            SymmetricStatistic(2, 4, [1] * 6)
+        # the length is checked against the grid's count; the grid is not built
+        with mock.patch("hoeffding.decomp.compositions", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="0 values for the order-1000000 grid"):
+                SymmetricStatistic(10**6, 3, [])
 
     @pytest.mark.parametrize("order,colors", [(1000, 3), (10**5, 3), (1, 10**6), (0, 10**9)])
     def test_a_short_table_is_refused_before_its_grid_is_built(self, order, colors):
@@ -774,7 +806,7 @@ class TestTables:
         values = {c: 1 for c in compositions(2, 3)}
         values[Composition((3, 0, 0))] = 1
         with pytest.raises(ValueError, match="off the order-2 grid"):
-            SymmetricStatistic(2, 3, values)
+            statistic_from_jsonable(statistic_json(values))
 
     def test_off_grid_lookup_rejected(self):
         t = SymmetricStatistic.from_function(2, 3, lambda c: 1)
