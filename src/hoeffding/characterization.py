@@ -122,40 +122,34 @@ def xi_basis(law: ExchangeableLaw, n: int) -> list[SymmetricKernel]:
     return [xi_basis_kernel(law, n, m) for m in xi_index_set(n, law.K)]
 
 
-def coherent_splits(m: int, v: int, z: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All ways to split the class z of order m into blocks of sizes v and
-    m-v, parameterized by the first K-1 counts of the size-v block.
+def coherent_splits(v: int, z: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """All ways to split the class z of order m = |z| into blocks of sizes v
+    and m-v, parameterized by the first K-1 counts of the size-v block.
 
     A class ka of order v is a split iff ka <= z entrywise, the coherence
     rule of _group_values; the splits come in increasing lexicographic
     order of their first K-1 counts.
     """
     z = Composition(z)
-    if z.order != m:
-        raise ValueError(f"z must have order {m}, got {z.order}")
-    if not 0 <= v <= m:
-        raise ValueError(f"need 0 <= v <= {m}, got v={v}")
+    if not 0 <= v <= z.order:
+        raise ValueError(f"need 0 <= v <= {z.order}, got v={v}")
     for ka in reversed(compositions(v, z.colors)):
         if all(map(le, ka, z)):
             yield ka[:-1]
 
 
 def symmetrize_bisym(
-    f: Callable[[Composition, Composition], RationalLike],
-    m: int,
-    v: int,
-    z: Sequence[int],
+    f: Callable[[Composition, Composition], RationalLike], v: int, z: Sequence[int]
 ) -> Rational:
-    """Average a block-symmetric table over the class z.
+    """Average a block-symmetric table over the class z of order m = |z|.
 
     f sees the counts of the two blocks (orders v and m-v); the weight of
     a split counts its orderings within each block.  The result equals
     the plain average of f over all sequences in the class.
     """
     z = Composition(z)
-    num = Fraction(0)
-    den = 0
-    for k in coherent_splits(m, v, z):
+    m, num, den = z.order, Fraction(0), 0
+    for k in coherent_splits(v, z):
         ka = Composition((*k, v - sum(k)))
         kb = Composition(tuple(zp - ap for zp, ap in zip(z, ka)))
         w = multinomial(v, ka[:-1]) * multinomial(m - v, kb[:-1])

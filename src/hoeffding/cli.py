@@ -4,9 +4,11 @@ Subcommands: verify (exhaustive criterion sweep), oracle (brute-force
 weak-independence check), decompose (Hoeffding decomposition of a
 statistic file), identity (exact combinatorial identity grids),
 simulate (seeded urn runs with optional exact cross-check), law-check
-(law consistency sweep).  Exit codes: 0 the checked property holds,
-1 it fails with a witness in the report, 2 usage or input error, 3 internal
-error (a bug, never a verdict; the traceback goes to stderr).
+(law consistency sweep).  Exit codes: 0 the checked property holds
+(decompose checks the exact reconstruction, and reports each layer's
+complete degeneracy without judging it), 1 it fails with a witness in the
+report, 2 usage or input error, 3 internal error (a bug, never a verdict;
+the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -161,7 +163,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         raise ValueError(f"law failed consistency: {consistency.failure}")
     # each part is its kernel's U-statistic, so the exact sum checks the
     # kernels too
-    layers = decomp._components(law, n, statistic)
+    layers = decomp.decompose(law, statistic)
     recon = layers[0][0]
     for part, _ in layers[1:]:
         recon = recon + part

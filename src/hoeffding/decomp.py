@@ -6,12 +6,13 @@ order k is one vector of exact values in compositions(k, K) order, a
 symmetric statistic one in compositions(n, K) order, and one value is
 read through the class index exactnum._positions.  The module provides
 U-statistics, the nested spaces SU_k they span, exact orthogonal
-projections onto those spaces (the Hoeffding decomposition, each layer's
-kernel read off the kernels of consecutive projections), checks of
-complete degeneracy, and a brute-force weak-independence oracle that
-counts sequences block by block and reduces each conditioning class's row
-against the constraints that cut out its kernels, independent of the
-closed forms of `characterization`.
+projections onto those spaces, one `decompose` that gives every layer
+F_k of the Hoeffding decomposition with its order-k kernel (read off the
+kernels of consecutive projections), checks of complete degeneracy
+(which `decompose` does not judge), and a brute-force weak-independence
+oracle that counts sequences block by block and reduces each conditioning
+class's row against the constraints that cut out its kernels, independent
+of the closed forms of `characterization`.
 """
 
 from __future__ import annotations
@@ -157,15 +158,14 @@ def _class_weights(law: ExchangeableLaw, n: int) -> list[Fraction]:
     return [class_size(i) * law.cylinder(i) for i in compositions(n, law.K)]
 
 
-def inner_product(
-    law: ExchangeableLaw, n: int, t1: SymmetricStatistic, t2: SymmetricStatistic
-) -> Rational:
-    """E[T1 T2] = sum_i multinomial(n;i) P_n(i) T1(i) T2(i), exactly."""
-    if t1.order != n or t2.order != n:
-        raise ValueError("inner_product needs statistics of the stated order")
+def inner_product(law: ExchangeableLaw, t1: SymmetricStatistic, t2: SymmetricStatistic) -> Rational:
+    """E[T1 T2] = sum_i multinomial(n;i) P_n(i) T1(i) T2(i), exactly, for
+    two statistics of one order n."""
+    if t1.order != t2.order:
+        raise ValueError(f"statistics of orders {t1.order} and {t2.order}")
     if t1.colors != law.K or t2.colors != law.K:
         raise ValueError("statistics and law must share one alphabet")
-    prods, den = _integer_products(_class_weights(law, n), t1.as_vector(), t2.as_vector())
+    prods, den = _integer_products(_class_weights(law, t1.order), t1.as_vector(), t2.as_vector())
     return Fraction(sum(prods), den)
 
 
@@ -221,30 +221,38 @@ def _project_su(
 
 
 def _projection_kernel(
-    law: ExchangeableLaw, weights: Sequence[Fraction], statistic: SymmetricStatistic, k: int
+    weights: Sequence[Fraction], statistic: SymmetricStatistic, k: int
 ) -> SymmetricKernel:
     # phi_k, the kernel of the statistic's orthogonal projection onto SU_k;
     # SU_n is the whole space, so phi_n is the statistic itself
-    n, tvec = statistic.order, statistic.as_vector()
-    coef = tvec if k == n else _project_su(_ustat_matrix(n, k, law.K), weights, tvec)
-    return SymmetricKernel(k, law.K, coef)
+    n, colors, tvec = statistic.order, statistic.colors, statistic.as_vector()
+    coef = tvec if k == n else _project_su(_ustat_matrix(n, k, colors), weights, tvec)
+    return SymmetricKernel(k, colors, coef)
 
 
-def _components(
-    law: ExchangeableLaw, n: int, statistic: SymmetricStatistic
+def decompose(
+    law: ExchangeableLaw, statistic: SymmetricStatistic
 ) -> list[tuple[SymmetricStatistic, SymmetricKernel]]:
-    # Each layer F_k with its kernel psi_k, for k = 0..n.  F_k is the
-    # U-statistic of phi_k less that of phi_{k-1}.  Each (k-1)-subset lies
-    # in n-k+1 k-subsets, so U_n(phi_{k-1}) = U_n(U_k(phi_{k-1})) / (n-k+1),
-    # and psi_k = phi_k - U_k(phi_{k-1}) / (n-k+1) has F_k = U_n(psi_k).
-    # U_n on order-n kernels is the identity, so F_n = psi_n.
-    if statistic.order != n or statistic.colors != law.K:
-        raise ValueError("statistic must match the stated order and alphabet")
-    weights = _class_weights(law, n)
+    """The Hoeffding decomposition of a symmetric statistic T of order n:
+    each layer F_k with its kernel psi_k, [(F_0, psi_0), ..., (F_n, psi_n)].
+
+    F_k is the orthogonal projection of T onto SH_k = SU_k intersected
+    with the orthogonal complement of SU_{k-1}, the difference of the
+    U-statistics of phi_k and phi_{k-1}, the kernels of T's projections
+    onto SU_k and SU_{k-1} (phi_n = T).  Each (k-1)-subset lies in n-k+1
+    k-subsets, so U_n(phi_{k-1}) = U_n(U_k(phi_{k-1})) / (n-k+1), and
+    psi_k = phi_k - U_k(phi_{k-1}) / (n-k+1) is the order-k kernel with
+    F_k = U_n(psi_k); U_n on order-n kernels is the identity, so
+    F_n = psi_n.  The parts sum back to T and are pairwise orthogonal
+    under the law.
+    """
+    if statistic.colors != law.K:
+        raise ValueError("statistic and law must share one alphabet")
+    n, weights = statistic.order, _class_weights(law, statistic.order)
     layers = []
     prev = None
     for k in range(n + 1):
-        phi = psi = _projection_kernel(law, weights, statistic, k)
+        phi = psi = _projection_kernel(weights, statistic, k)
         if prev is not None:
             lift = u_statistic(prev, k).as_vector()
             values = [v - w / (n - k + 1) for v, w in zip(phi.as_vector(), lift)]
@@ -255,32 +263,19 @@ def _components(
     return layers
 
 
-def decompose(
-    law: ExchangeableLaw, n: int, statistic: SymmetricStatistic
-) -> list[SymmetricStatistic]:
-    """The Hoeffding decomposition [F_0, ..., F_n] of a symmetric statistic.
-
-    F_k is the orthogonal projection of the statistic onto
-    SH_k = SU_k intersected with the orthogonal complement of SU_{k-1},
-    the difference of consecutive SU projections, computed as the
-    U-statistic of its order-k kernel.  The parts sum back to the
-    statistic and are pairwise orthogonal under the law.
-    """
-    return [part for part, _ in _components(law, n, statistic)]
-
-
 def _kernel_of(
-    law: ExchangeableLaw, n: int, statistic: SymmetricStatistic, k: int
+    law: ExchangeableLaw, statistic: SymmetricStatistic, k: int
 ) -> Optional[SymmetricKernel]:
     # The order-k kernel whose U-statistic is the statistic, or None when
     # the statistic is outside SU_k: the kernel of its SU_k projection,
     # kept when that kernel's U-statistic is the statistic.  The kernel is
     # unique, as the U-statistic map on order-k kernels is injective.
-    if statistic.order != n or statistic.colors != law.K:
-        raise ValueError("statistic must match the stated order and alphabet")
+    n = statistic.order
+    if statistic.colors != law.K:
+        raise ValueError("statistic and law must share one alphabet")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}")
-    phi = _projection_kernel(law, _class_weights(law, n), statistic, k)
+    phi = _projection_kernel(_class_weights(law, n), statistic, k)
     return phi if u_statistic(phi, n) == statistic else None
 
 
@@ -315,7 +310,7 @@ def is_completely_degenerate(law: ExchangeableLaw, phi: SymmetricKernel) -> Dege
 
 
 def degenerate_kernel_for(
-    law: ExchangeableLaw, n: int, statistic: SymmetricStatistic, k: int
+    law: ExchangeableLaw, statistic: SymmetricStatistic, k: int
 ) -> Optional[SymmetricKernel]:
     """A completely degenerate order-k kernel representing the statistic.
 
@@ -323,7 +318,7 @@ def degenerate_kernel_for(
     when it is completely degenerate, and None when it is not or when the
     statistic is outside SU_k.  For k = 0 degeneracy is vacuous.
     """
-    phi = _kernel_of(law, n, statistic, k)
+    phi = _kernel_of(law, statistic, k)
     if phi is None or k == 0 or is_completely_degenerate(law, phi).degenerate:
         return phi
     return None

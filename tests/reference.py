@@ -39,9 +39,9 @@ from hoeffding.decomp import (
     OracleWitness,
     SymmetricKernel,
     SymmetricStatistic,
-    _components,
     _oracle_rows,
     _ustat_matrix,
+    decompose,
     weak_independence_oracle,
     xi_constraint_matrix,
 )
@@ -154,7 +154,7 @@ def characterization_sum(
     m = _validate_m(m, n, colors)
 
     total = Fraction(0)
-    for k in coherent_splits(n - 1, n - u, z):
+    for k in coherent_splits(n - u, z):
         ka_full = Composition((*k, (n - u) - sum(k)))
         outer = multinomial(n - u, k)
         if k[0] % 2:
@@ -220,7 +220,7 @@ def main():
         rng = random.Random(n)
         statistic = SymmetricStatistic.from_function(
             n, law.K, lambda c: Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-        for k, (part, kernel) in enumerate(_components(law, n, statistic)):
+        for k, (part, kernel) in enumerate(decompose(law, statistic)):
             expected = solve(_ustat_matrix(n, k, law.K), part.as_vector())
             assert kernel.as_vector() == expected, (spec, k)
         print(f"{spec} at n = {n}: each layer's kernel equals the Bareiss "

@@ -165,25 +165,23 @@ class TestCoherentSplits:
             for m in range(0, 6):
                 for z in compositions(m, colors):
                     for v in range(0, m + 1):
-                        got = sorted(coherent_splits(m, v, z))
+                        got = sorted(coherent_splits(v, z))
                         assert got == sorted(feasible_splits(m, v, z)), (m, v, tuple(z))
 
     def test_six_color_spot_check(self):
         z = Composition((2, 1, 0, 1, 0, 2))
-        got = sorted(coherent_splits(6, 3, z))
+        got = sorted(coherent_splits(3, z))
         assert got == sorted(feasible_splits(6, 3, z))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            list(coherent_splits(3, 4, (1, 1, 1)))
-        with pytest.raises(ValueError):
-            list(coherent_splits(2, 1, (1, 1, 1)))
+            list(coherent_splits(4, (1, 1, 1)))
 
 
 class TestSymmetrizeBisym:
     def test_constant_table(self):
         c = Fraction(5, 9)
-        assert symmetrize_bisym(lambda a, b: c, 4, 2, (2, 1, 1)) == c
+        assert symmetrize_bisym(lambda a, b: c, 2, (2, 1, 1)) == c
 
     def test_against_sequence_enumeration(self):
         rng = random.Random(19)
@@ -191,7 +189,7 @@ class TestSymmetrizeBisym:
             for z in compositions(m, 3):
                 for v in range(0, m + 1):
                     table = {}
-                    for k in coherent_splits(m, v, z):
+                    for k in coherent_splits(v, z):
                         ka = Composition((*k, v - sum(k)))
                         kb = Composition(tuple(zp - ap for zp, ap in zip(z, ka)))
                         table[(ka, kb)] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -203,13 +201,13 @@ class TestSymmetrizeBisym:
                             continue
                         total += table[(counts_of(seq[:v], 3), counts_of(seq[v:], 3))]
                         hits += 1
-                    assert symmetrize_bisym(f, m, v, z) == total / hits
+                    assert symmetrize_bisym(f, v, z) == total / hits
 
     def test_block_merged_tables_pass_through(self):
         # if f only sees the merged counts it is already symmetric
         f = lambda a, b: Fraction(a[0] + b[0], 7)
         z = Composition((2, 0, 1))
-        assert symmetrize_bisym(f, 3, 1, z) == Fraction(2, 7)
+        assert symmetrize_bisym(f, 1, z) == Fraction(2, 7)
 
 
 class TestCharacterizationSum:

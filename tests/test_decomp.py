@@ -41,7 +41,6 @@ from hoeffding.decomp import (
     xi_constraint_matrix,
     _block_split_census,
     _class_weights,
-    _components,
     _count_census,
     _kernel_of,
     _oracle_rows,
@@ -158,16 +157,16 @@ class TestInnerProduct:
         one = SymmetricStatistic.from_function(2, 3, lambda c: 1)
         for law in ALL_LAWS:
             if law.K == 3:
-                assert inner_product(law, 2, one, one) == 1
+                assert inner_product(law, one, one) == 1
 
     def test_reference_values(self):
         uniform = parse_law("iid:p=1/3,1/3,1/3")
         ind = SymmetricStatistic.from_function(1, 3, lambda c: int(c == (1, 0, 0)))
-        assert inner_product(uniform, 1, ind, ind) == Fraction(1, 3)
+        assert inner_product(uniform, ind, ind) == Fraction(1, 3)
         polya1 = parse_law("polya:alpha=1,1,1")
         count1 = SymmetricStatistic.from_function(2, 3, lambda c: c[0])
         one = SymmetricStatistic.from_function(2, 3, lambda c: 1)
-        assert inner_product(polya1, 2, count1, one) == Fraction(2, 3)
+        assert inner_product(polya1, count1, one) == Fraction(2, 3)
 
     def test_against_raw_sequence_sum(self):
         rng = random.Random(5)
@@ -179,28 +178,28 @@ class TestInnerProduct:
                 for seq in product(range(3), repeat=n):
                     i = counts_of(seq, 3)
                     brute += cylinder_prob(law, i) * t1(i) * t2(i)
-                assert inner_product(law, n, t1, t2) == brute
+                assert inner_product(law, t1, t2) == brute
 
     def test_order_mismatch_rejected(self):
         one2 = SymmetricStatistic.from_function(2, 3, lambda c: 1)
         one3 = SymmetricStatistic.from_function(3, 3, lambda c: 1)
         with pytest.raises(ValueError):
-            inner_product(IID_REF, 3, one2, one3)
+            inner_product(IID_REF, one2, one3)
         with pytest.raises(ValueError):
-            inner_product(HLS4, 2, one2, one2)
+            inner_product(HLS4, one2, one2)
 
 
 class TestDecompose:
     def test_constant_statistic(self):
         t = SymmetricStatistic.from_function(3, 3, lambda c: Fraction(5, 7))
-        parts = decompose(POLYA_REF, 3, t)
+        parts = [part for part, _ in decompose(POLYA_REF, t)]
         assert parts[0] == t
         assert not any(v for p in parts[1:] for v in p.as_vector())
 
     def test_uniform_iid_count_example(self):
         uniform = parse_law("iid:p=1/3,1/3,1/3")
         t = SymmetricStatistic.from_function(2, 3, lambda c: c[0])
-        f0, f1, f2 = decompose(uniform, 2, t)
+        (f0, _), (f1, _), (f2, _) = decompose(uniform, t)
         assert f0 == SymmetricStatistic.from_function(2, 3, lambda c: Fraction(2, 3))
         expected_f1 = SymmetricStatistic.from_function(2, 3, lambda c: c[0] - Fraction(2, 3))
         assert f1 == expected_f1
@@ -211,7 +210,7 @@ class TestDecompose:
         rng = random.Random(42)
         for n in (1, 2, 3):
             t = random_statistic(n, law.K, rng)
-            parts = decompose(law, n, t)
+            parts = [part for part, _ in decompose(law, t)]
             assert len(parts) == n + 1
             total = parts[0]
             for p in parts[1:]:
@@ -219,10 +218,10 @@ class TestDecompose:
             assert total == t
             for j in range(n + 1):
                 for k in range(j + 1, n + 1):
-                    assert inner_product(law, n, parts[j], parts[k]) == 0
+                    assert inner_product(law, parts[j], parts[k]) == 0
             # projecting a layer returns it unchanged in its own slot
             for k, part in enumerate(parts):
-                again = decompose(law, n, part)
+                again = [q for q, _ in decompose(law, part)]
                 assert again[k] == part
                 assert not any(
                     v for idx, q in enumerate(again) if idx != k for v in q.as_vector())
@@ -232,16 +231,14 @@ class TestDecompose:
         for law in (IID_REF, HLS3, MIX):
             t = random_statistic(3, 3, rng)
             one = SymmetricStatistic.from_function(3, 3, lambda c: 1)
-            mean = inner_product(law, 3, t, one)
-            parts = decompose(law, 3, t)
+            mean = inner_product(law, t, one)
+            parts = [part for part, _ in decompose(law, t)]
             assert parts[0] == SymmetricStatistic.from_function(3, 3, lambda c: mean)
 
     def test_order_mismatch_rejected(self):
         t = SymmetricStatistic.from_function(2, 3, lambda c: 1)
         with pytest.raises(ValueError):
-            decompose(IID_REF, 3, t)
-        with pytest.raises(ValueError):
-            decompose(HLS4, 2, t)
+            decompose(HLS4, t)
 
 
 def fraction_rhs_projection(matrix, weights, tvec):
@@ -307,7 +304,7 @@ class TestKernelFor:
             for k in range(0, n + 1):
                 phi = random_kernel(k, 3, rng)
                 f = u_statistic(phi, n)
-                back = _kernel_of(IID_REF, n, f, k)
+                back = _kernel_of(IID_REF, f, k)
                 assert back == phi
                 x = linalg.solve(_ustat_matrix(n, k, 3), f.as_vector())
                 assert back.as_vector() == x
@@ -324,7 +321,7 @@ class TestKernelFor:
                 matrix = _ustat_matrix(n, k, law.K)
                 image = u_statistic(random_kernel(k, law.K, rng), n)
                 for f in (image, random_statistic(n, law.K, rng)):
-                    phi = _kernel_of(law, n, f, k)
+                    phi = _kernel_of(law, f, k)
                     x = linalg.solve(matrix, f.as_vector())
                     if f is image or x is not None:
                         assert phi.as_vector() == x
@@ -336,27 +333,27 @@ class TestKernelFor:
 
     def test_constant_statistic_has_constant_kernel_image(self):
         f = SymmetricStatistic.from_function(4, 3, lambda c: math.comb(4, 2))
-        phi = _kernel_of(IID_REF, 4, f, 2)
+        phi = _kernel_of(IID_REF, f, 2)
         assert u_statistic(phi, 4) == f
 
     def test_zero_statistic(self):
         zero = SymmetricStatistic.from_function(3, 3, lambda c: 0)
-        phi = _kernel_of(HLS3, 3, zero, 2)
+        phi = _kernel_of(HLS3, zero, 2)
         assert not any(phi.as_vector())
 
     def test_outside_su_k_gives_none(self):
         t = SymmetricStatistic.from_function(2, 3, lambda c: c[0])
-        assert _kernel_of(IID_REF, 2, t, 0) is None
-        assert _kernel_of(IID_REF, 2, t, 1) is not None
+        assert _kernel_of(IID_REF, t, 0) is None
+        assert _kernel_of(IID_REF, t, 1) is not None
         with pytest.raises(ValueError, match="0 <= k <= n"):
-            _kernel_of(IID_REF, 2, t, 3)
+            _kernel_of(IID_REF, t, 3)
 
 
 @settings(max_examples=30)
 @given(st.data())
-def test_components_carry_the_kernels_of_their_parts(data):
-    # each layer's kernel from the lift of consecutive projection kernels
-    # is the one kernel of its part, and the parts are decompose's
+def test_decompose_carries_the_kernel_of_each_layer(data):
+    # each kernel decompose gives, from the lift of consecutive projection
+    # kernels, is the one kernel of its layer
     colors = data.draw(st.integers(2, 4), label="K")
     law = K2_LAWS[0] if colors == 2 else data.draw(drawn_laws(colors), label="law")
     n = data.draw(st.integers(0, 4), label="n")
@@ -365,12 +362,10 @@ def test_components_carry_the_kernels_of_their_parts(data):
         st.fractions(min_value=-9, max_value=9, max_denominator=12),
         min_size=len(comps), max_size=len(comps)), label="values")
     t = SymmetricStatistic(n, colors, values)
-    layers = _components(law, n, t)
-    assert [part for part, _ in layers] == decompose(law, n, t)
-    for k, (part, kernel) in enumerate(layers):
+    for k, (part, kernel) in enumerate(decompose(law, t)):
         assert kernel.order == k
         assert u_statistic(kernel, n) == part
-        assert kernel == _kernel_of(law, n, part, k)
+        assert kernel == _kernel_of(law, part, k)
 
 
 class TestDegeneracy:
@@ -451,13 +446,13 @@ class TestDegenerateKernelFor:
         rng = random.Random(17)
         for n in (2, 3):
             t = random_statistic(n, law.K, rng)
-            parts = decompose(law, n, t)
+            parts = [part for part, _ in decompose(law, t)]
             for k in range(1, n + 1):
-                phi = degenerate_kernel_for(law, n, parts[k], k)
+                phi = degenerate_kernel_for(law, parts[k], k)
                 assert phi is not None
                 assert is_completely_degenerate(law, phi).degenerate
                 assert u_statistic(phi, n) == parts[k]
-                assert phi == _kernel_of(law, n, parts[k], k)
+                assert phi == _kernel_of(law, parts[k], k)
 
     @pytest.mark.parametrize("law", [IID_REF, POLYA_REF, HLS3])
     def test_degenerate_images_are_orthogonal_to_lower_layers(self, law):
@@ -479,13 +474,13 @@ class TestDegenerateKernelFor:
                 for c in compositions(k - 1, law.K):
                     indicator = SymmetricKernel.from_function(k - 1, law.K, lambda d: int(d == c))
                     lower = u_statistic(indicator, n)
-                    assert inner_product(law, n, image, lower) == 0
+                    assert inner_product(law, image, lower) == 0
 
     def test_returns_none_when_no_degenerate_kernel_exists(self):
         # the constant statistic 1 is not the U-statistic of any
         # completely degenerate order-1 kernel
         one = SymmetricStatistic.from_function(2, 3, lambda c: 1)
-        assert degenerate_kernel_for(IID_REF, 2, one, 1) is None
+        assert degenerate_kernel_for(IID_REF, one, 1) is None
 
 
 def back_substituted_basis(law, n):
@@ -725,7 +720,7 @@ def _run_consistency(law):
 
 
 def _run_decompose(law):
-    decompose(law, 3, random_statistic(3, law.K, random.Random(5)))
+    decompose(law, random_statistic(3, law.K, random.Random(5)))
 
 
 def _run_degeneracy(law):

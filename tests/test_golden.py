@@ -72,7 +72,12 @@ ORACLE_GOLDEN = {
         (1, "ed28acec06c5225bd2d4842fd6bfd70572dbbcfcb51ad45209377aa5f3d57f8b")),
 }
 
-# law -> sha256 of `decompose` stdout for golden_statistic(3, K); all exit 0
+# law -> sha256 of `decompose` stdout for golden_statistic(3, K); all exit 0.
+# decompose's exit 0 means the parts sum back to the statistic exactly, and
+# that holds under every law; each layer's complete degeneracy is reported,
+# not judged, so the mixture's layer 2, which is not completely degenerate,
+# shows as a degeneracy_witness in the report and not as exit 1.  Whether
+# a law is decomposable is verify's and oracle's verdict.
 DECOMPOSE_GOLDEN = {
     "hls3": "2dd115777987464f46784dae3245ded1a547f403658be4b1ce8893c24fb483a5",
     "hls3b": "446c6f9c9c29a19e839545be220ee58e71d210a82b70cb9af7fd97ebf30efb7d",
