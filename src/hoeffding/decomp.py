@@ -154,8 +154,11 @@ def u_statistic(phi: SymmetricKernel, n: int) -> SymmetricStatistic:
     return SymmetricStatistic(n, phi.colors, values)
 
 
-def _class_weights(law: ExchangeableLaw, n: int) -> list[Fraction]:
-    return [class_size(i) * law.cylinder(i) for i in compositions(n, law.K)]
+def _class_weights(law: ExchangeableLaw, n: int) -> tuple[list[int], int]:
+    # The weights multinomial(n; i) P(i) of the classes of order n, in
+    # order, as integer numerators over their common denominator: cleared
+    # once per order, for every Gram matrix and inner product on it.
+    return _common_denominator(class_size(i) * law.cylinder(i) for i in compositions(n, law.K))
 
 
 def inner_product(law: ExchangeableLaw, t1: SymmetricStatistic, t2: SymmetricStatistic) -> Rational:
@@ -165,63 +168,54 @@ def inner_product(law: ExchangeableLaw, t1: SymmetricStatistic, t2: SymmetricSta
         raise ValueError(f"statistics of orders {t1.order} and {t2.order}")
     if t1.colors != law.K or t2.colors != law.K:
         raise ValueError("statistics and law must share one alphabet")
-    prods, den = _integer_products(_class_weights(law, t1.order), t1.as_vector(), t2.as_vector())
-    return Fraction(sum(prods), den)
+    weights, den = _class_weights(law, t1.order)
+    (nums1, den1), (nums2, den2) = map(_common_denominator, (t1.as_vector(), t2.as_vector()))
+    return Fraction(sum(map(mul, weights, map(mul, nums1, nums2))), den * den1 * den2)
 
 
-def _integer_products(*vectors: Sequence[Fraction]) -> tuple[list[int], int]:
-    # The entrywise product of the vectors as integers over one
-    # denominator, the product of the vectors' common denominators.
-    nums, dens = zip(*map(_common_denominator, vectors))
-    return list(map(math.prod, zip(*nums))), math.prod(dens)
-
-
-def _su_gram(
-    matrix: Sequence[Sequence[int]], weights: Sequence[Fraction]
-) -> tuple[list[list[int]], int]:
-    # The Gram matrix M^T W M as integers over the weights' common
-    # denominator.  Symmetric: fill a <= b and mirror.  Each entry is an
-    # integer sum over the rows where both columns are nonzero.
-    nums, den = _common_denominator(weights)
+def _su_gram(matrix: Sequence[Sequence[int]], weights: Sequence[int]) -> list[list[int]]:
+    # The Gram matrix M^T W M on the integer class weights, that is over
+    # their common denominator.  Symmetric: fill a <= b and mirror.  Each
+    # entry is an integer sum over the rows where both columns are nonzero.
     ncols = len(matrix[0])
     support = [
         {r: mrow[a] for r, mrow in enumerate(matrix) if mrow[a]} for a in range(ncols)
     ]
     gram = [[0] * ncols for _ in range(ncols)]
     for a in range(ncols):
-        col_a = {r: nums[r] * m for r, m in support[a].items()}
+        col_a = {r: weights[r] * m for r, m in support[a].items()}
         for b in range(a, ncols):
             gram[a][b] = gram[b][a] = sum(
                 col_a[r] * m for r, m in support[b].items() if r in col_a
             )
-    return gram, den
+    return gram
 
 
 def _project_su(
     matrix: Sequence[Sequence[int]],
-    weights: Sequence[Fraction],
+    weights: Sequence[int],
     tvec: Sequence[Fraction],
 ) -> list[Fraction]:
     # Kernel coefficients of the orthogonal projection onto the span of the
     # columns of matrix (the indicator U-statistics of one order), via the
     # normal equations.  The columns are independent and every class has
     # positive probability, so the Gram matrix is positive definite and
-    # linalg.solve_symmetric finds the one solution.  Over the weights'
-    # common denominator d_w and the statistic's d_t, the Gram matrix is
-    # G / d_w and the right-hand side M^T W t is r / (d_w d_t) with G and r
-    # integer, so the coefficients are the solution of G y = r over d_t.
-    gram, den_w = _su_gram(matrix, weights)
-    prods, den = _integer_products(weights, tvec)
+    # linalg.solve_symmetric finds the one solution.  With the integer
+    # class weights over d_w and the statistic's numerators over d_t, the
+    # Gram matrix is G / d_w and the right-hand side M^T W t is r / (d_w d_t)
+    # with G and r integer, so the coefficients are the solution of G y = r
+    # over d_t, and d_w is never read.
+    nums, den_t = _common_denominator(tvec)
+    prods = list(map(mul, weights, nums))
     rhs = [
         sum(mrow[a] * p for mrow, p in zip(matrix, prods) if mrow[a])
         for a in range(len(matrix[0]))
     ]
-    den_t = den // den_w
-    return [y / den_t for y in linalg.solve_symmetric(gram, rhs)]
+    return [y / den_t for y in linalg.solve_symmetric(_su_gram(matrix, weights), rhs)]
 
 
 def _projection_kernel(
-    weights: Sequence[Fraction], statistic: SymmetricStatistic, k: int
+    weights: Sequence[int], statistic: SymmetricStatistic, k: int
 ) -> SymmetricKernel:
     # phi_k, the kernel of the statistic's orthogonal projection onto SU_k;
     # SU_n is the whole space, so phi_n is the statistic itself
@@ -248,7 +242,8 @@ def decompose(
     """
     if statistic.colors != law.K:
         raise ValueError("statistic and law must share one alphabet")
-    n, weights = statistic.order, _class_weights(law, statistic.order)
+    n = statistic.order
+    weights, _ = _class_weights(law, n)
     layers = []
     prev = None
     for k in range(n + 1):
@@ -275,7 +270,7 @@ def _kernel_of(
         raise ValueError("statistic and law must share one alphabet")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}")
-    phi = _projection_kernel(_class_weights(law, n), statistic, k)
+    phi = _projection_kernel(_class_weights(law, n)[0], statistic, k)
     return phi if u_statistic(phi, n) == statistic else None
 
 
@@ -386,33 +381,20 @@ def _count_census(colors: int, length: int) -> tuple[tuple[tuple[int, ...], int]
     return tuple(sorted(tally.items()))
 
 
-@lru_cache(maxsize=None)
-def _block_split_census(
-    colors: int, length: int, first_block: int
-) -> dict[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]]:
-    # For each class z of order `length`: how the class's sequences split
-    # their counts between the first `first_block` coordinates and the
-    # rest, as (a, b, mult) in order.  The two blocks' positions are
-    # independent, so mult is the product of a's and b's multiplicities in
-    # their own censuses.
-    tally: dict[tuple[int, ...], list] = {}
-    for a, ma in _count_census(colors, first_block):
-        for b, mb in _count_census(colors, length - first_block):
-            tally.setdefault(tuple(map(add, a, b)), []).append((a, b, ma * mb))
-    return {z: tuple(splits) for z, splits in tally.items()}
-
-
 def _oracle_rows(
     law: ExchangeableLaw, n: int, u: int
 ) -> list[tuple[Composition, list[int], Fraction]]:
     # One kernel-independent integer row per class z of order n-1, in
-    # order, dense over the columns compositions(n, K): entry (a, b, mult)
-    # of the block-split census of z and fresh class (w, fmult) of u draws
-    # add mult * fmult * P(w+z) at the column of w+a, with every P of order
-    # n-1+u as an integer numerator over their one common denominator D.
-    # A row's dot product with a kernel phi is D * P(z) * total times the
-    # symmetrized shift expectation of phi over the class, total being the
-    # census size of z; that scale is kept with the row.
+    # order, dense over the columns compositions(n, K).  A sequence of z
+    # splits its counts as a over the first n-u coordinates and b over the
+    # other u-1; the two blocks' positions are independent, so the split
+    # counts mult, the product of a's and b's census multiplicities.  Each
+    # split and fresh class (w, fmult) of u draws add mult * fmult * P(w+z)
+    # at the column of w+a, every P of order n-1+u an integer numerator
+    # over their one common denominator D.  A row's dot product with a
+    # kernel phi is D * P(z) * total times the symmetrized shift expectation
+    # of phi over the class, total being the census size of z; that scale
+    # is kept with the row.
     cylinder, colors = law.cylinder, law.K
     col = _positions(n, colors)
     targets = compositions(n - 1 + u, colors)
@@ -423,13 +405,16 @@ def _oracle_rows(
     cols = {
         a: [col[tuple(map(add, w, a))] for w, _ in fresh] for a in compositions(n - u, colors)
     }
-    census = _block_split_census(colors, n - 1, n - u)
+    splits: dict[tuple[int, ...], list] = {}
+    for a, ma in _count_census(colors, n - u):
+        for b, mb in _count_census(colors, u - 1):
+            splits.setdefault(tuple(map(add, a, b)), []).append((a, ma * mb))
     rows = []
     for z in compositions(n - 1, colors):
         weights = [fmult * num_of[tuple(map(add, w, z))] for w, fmult in fresh]
         row = [0] * len(col)
         total = 0
-        for a, _b, mult in census[z]:
+        for a, mult in splits[z]:
             total += mult
             for j, g in zip(cols[a], weights):
                 row[j] += mult * g
@@ -510,11 +495,11 @@ def sh_dims(law: ExchangeableLaw, n: int) -> list[int]:
     """Dimensions [dim SH_0, ..., dim SH_n] via exact Gram-matrix ranks."""
     if n < 0:
         raise ValueError("sh_dims needs n >= 0")
-    weights = _class_weights(law, n)
+    weights, _ = _class_weights(law, n)
     dims = []
     prev_rank = 0
     for k in range(n + 1):
-        rk = linalg.rank(_su_gram(_ustat_matrix(n, k, law.K), weights)[0])
+        rk = linalg.rank(_su_gram(_ustat_matrix(n, k, law.K), weights))
         dims.append(rk - prev_rank)
         prev_rank = rk
     return dims

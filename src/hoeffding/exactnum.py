@@ -13,7 +13,8 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence, Union
+from itertools import combinations_with_replacement
+from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[Rational, int, str]
@@ -151,40 +152,29 @@ def _common_denominator(values: Iterable[Union[Rational, int]]) -> tuple[list[in
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _composition_tuples(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    # descending lexicographic order, by a loop, so any number of parts
-    # works: the next tuple moves one unit from the last nonzero count
-    # before the final one to the count after it, which also takes the
-    # final count
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    counts = [total] + [0] * (parts - 1)
-    while True:
-        yield tuple(counts)
-        t = parts - 2
-        while t >= 0 and not counts[t]:
-            t -= 1
-        if t < 0:
-            return
-        counts[t] -= 1
-        tail, counts[-1] = counts[-1], 0
-        counts[t + 1] = tail + 1
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def compositions(total: int, parts: int) -> tuple[Composition, ...]:
     """All weak compositions of ``total`` into ``parts`` counts.
 
     Enumeration is lexicographically descending on the counts, e.g.
-    (2, 3) gives (2,0,0), (1,1,0), (1,0,1), (0,2,0), (0,1,1), (0,0,2).
-    The number of elements is C(total + parts - 1, parts - 1).  The tuple
-    is built once per (total, parts) and shared by every caller.
+    (2, 3) gives (2,0,0), (1,1,0), (1,0,1), (0,2,0), (0,1,1), (0,0,2):
+    the counts of the multisets of ``total`` colors, which
+    combinations_with_replacement gives in ascending order, and a multiset
+    that comes earlier has the larger count at the first color where two
+    differ.  The number of elements is C(total + parts - 1, parts - 1).
+    The tuple is built once per (total, parts) and shared by every caller;
+    the cache is typed, so True is refused even where 1 is cached.
     """
-    if total < 0 or parts < 0:
-        raise ValueError("compositions needs total >= 0 and parts >= 0")
-    return tuple(Composition(t) for t in _composition_tuples(total, parts))
+    if any(type(x) is not int or x < 0 for x in (total, parts)):
+        raise ValueError(
+            f"compositions needs integers total >= 0 and parts >= 0, got {total!r}, {parts!r}")
+    out = []
+    for multiset in combinations_with_replacement(range(parts), total):
+        counts = [0] * parts
+        for j in multiset:
+            counts[j] += 1
+        out.append(Composition(counts))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -157,9 +157,11 @@ class _Law:
     def cylinder(self, i: tuple[int, ...]) -> Rational:
         try:
             return self._cylinders[i]
-        except KeyError:
-            if len(i) != self.K or min(i) < 0:
-                raise ValueError(f"{tuple(i)!r} is not a class of a {self.K}-color law")
+        except (KeyError, TypeError):
+            # _fill walks down from a miss, so it must be K non-negative ints
+            if not (isinstance(i, tuple) and len(i) == self.K
+                    and all(type(c) is int and c >= 0 for c in i)):
+                raise ValueError(f"{i!r} is not a class of a {self.K}-color law") from None
             return self._fill(i)
 
     def _fill(self, i: tuple[int, ...]) -> Rational:

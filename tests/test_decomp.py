@@ -39,7 +39,6 @@ from hoeffding.decomp import (
     u_statistic,
     weak_independence_oracle,
     xi_constraint_matrix,
-    _block_split_census,
     _class_weights,
     _count_census,
     _kernel_of,
@@ -50,7 +49,7 @@ from hoeffding.decomp import (
     _xi_kernel,
     _xi_pivots,
 )
-from hoeffding.exactnum import Composition, compositions
+from hoeffding.exactnum import Composition, class_size, compositions
 from hoeffding.characterization import verify_hd
 from hoeffding.laws import (
     check_consistency,
@@ -241,18 +240,18 @@ class TestDecompose:
             decompose(HLS4, t)
 
 
-def fraction_rhs_projection(matrix, weights, tvec):
-    # the projection before integer sums: M^T W t accumulated term by
-    # term in Fractions, then the same normal-equation solve
-    rhs = []
-    for a in range(len(matrix[0])):
-        acc = Fraction(0)
-        for w, mrow, tv in zip(weights, matrix, tvec):
-            if mrow[a] and tv:
-                acc += w * mrow[a] * tv
-        rhs.append(acc)
-    gram, den = _su_gram(matrix, weights)
-    return linalg.solve([[Fraction(g, den) for g in row] for row in gram], rhs)
+def fraction_rhs_projection(law, n, k, tvec):
+    # the projection before integer sums: the weights, the Gram matrix
+    # M^T W M and M^T W t accumulated term by term in Fractions, then the
+    # general solver
+    matrix = _ustat_matrix(n, k, law.K)
+    weights = [class_size(i) * law.cylinder(i) for i in compositions(n, law.K)]
+    cols = range(len(matrix[0]))
+    gram = [[sum((w * mrow[a] * mrow[b] for w, mrow in zip(weights, matrix)), Fraction(0))
+             for b in cols] for a in cols]
+    rhs = [sum((w * mrow[a] * tv for w, mrow, tv in zip(weights, matrix, tvec)), Fraction(0))
+           for a in cols]
+    return linalg.solve(gram, rhs)
 
 
 @given(st.sampled_from(ALL_LAWS), st.integers(1, 3), st.data())
@@ -261,22 +260,25 @@ def test_project_su_matches_fraction_rhs(law, n, data):
     tvec = data.draw(st.lists(
         st.fractions(min_value=-9, max_value=9, max_denominator=12),
         min_size=size, max_size=size))
-    weights = _class_weights(law, n)
+    weights, _ = _class_weights(law, n)
     for k in range(n):
-        matrix = _ustat_matrix(n, k, law.K)
-        assert _project_su(matrix, weights, tvec) \
-            == fraction_rhs_projection(matrix, weights, tvec)
+        assert _project_su(_ustat_matrix(n, k, law.K), weights, tvec) \
+            == fraction_rhs_projection(law, n, k, tvec)
 
 
 @pytest.mark.parametrize("law", ALL_LAWS)
 def test_gram_solve_matches_the_general_solver(law):
     # the integer SU Gram systems of decompose through solve_symmetric,
-    # with no fallback, against the general pivoting solver
+    # with no fallback, against the general pivoting solver, on integer
+    # class weights that over their denominator are the Fraction ones
     for n in range(1, 5):
-        weights = _class_weights(law, n)
+        weights, den = _class_weights(law, n)
+        assert all(type(w) is int and w > 0 for w in weights) and den >= 1
+        fractions = [class_size(i) * law.cylinder(i) for i in compositions(n, law.K)]
+        assert [Fraction(w, den) for w in weights] == fractions
         for k in range(n):
-            gram, den = _su_gram(_ustat_matrix(n, k, law.K), weights)
-            assert all(type(g) is int for row in gram for g in row) and den >= 1
+            gram = _su_gram(_ustat_matrix(n, k, law.K), weights)
+            assert all(type(g) is int for row in gram for g in row)
             rhs = [3 * a - 7 for a in range(len(gram))]
             expected = linalg.solve(gram, rhs)
             with mock.patch.object(linalg, "solve", side_effect=AssertionError):
@@ -652,7 +654,7 @@ def enumerated_count_census(colors, length):
     return tuple(sorted(tally.items()))
 
 
-def enumerated_block_split_census(colors, length, first_block):
+def enumerated_block_splits(colors, length, first_block):
     # per class z, how its sequences split their counts between the first
     # first_block coordinates and the rest, by enumerating the sequences
     tally = {}
@@ -671,9 +673,6 @@ def enumerated_block_split_census(colors, length, first_block):
 def test_counted_censuses_equal_the_enumerated_ones(colors):
     for length in range(8):
         assert _count_census(colors, length) == enumerated_count_census(colors, length)
-        for first in range(length + 1):
-            counted = _block_split_census(colors, length, first)
-            assert counted == enumerated_block_split_census(colors, length, first)
 
 
 def shift_expectation_table(law, phi, n, u):
@@ -699,7 +698,7 @@ def per_kernel_values(law, n):
     for idx, phi in enumerate(nullspace_basis(law, n)):
         for u in range(2, n + 1):
             table = shift_expectation_table(law, phi, n, u)
-            census = enumerated_block_split_census(law.K, n - 1, n - u)
+            census = enumerated_block_splits(law.K, n - 1, n - u)
             for z in compositions(n - 1, law.K):
                 num = sum((mult * table[(a, b)] for a, b, mult in census[z]), Fraction(0))
                 total = sum(mult for _, _, mult in census[z])

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from hoeffding.exactnum import (
     Composition,
-    _composition_tuples,
     beta_ratio,
     binom_star,
     class_size,
@@ -213,7 +212,7 @@ class TestCompositions:
         colors = sys.getrecursionlimit() + 500
         assert compositions(0, colors) == ((0,) * colors,)
         seen = 0
-        for j, t in enumerate(_composition_tuples(1, colors)):
+        for j, t in enumerate(compositions(1, colors)):
             assert t.index(1) == j and sum(t) == 1
             seen += 1
         assert seen == colors
@@ -223,6 +222,11 @@ class TestCompositions:
         assert list(compositions(0, 0)) == [()]
         with pytest.raises(ValueError):
             list(compositions(-1, 3))
+        # refused before enumerating, also where an equal key is cached
+        assert compositions(1, 2)
+        for total, parts in ((2.5, 3), (True, 2), (2, True)):
+            with pytest.raises(ValueError, match="integers"):
+                compositions(total, parts)
 
     def test_class_size_counts_sequences(self):
         for n in range(0, 5):

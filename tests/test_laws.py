@@ -10,11 +10,14 @@ now the same algorithm as the code's, so only `closed_form` checks it.
 """
 
 import gc
+import os
 import re
 import json
 import math
 import pickle
 import random
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
 from itertools import product
@@ -23,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hoeffding import laws
 from hoeffding.exactnum import Composition, compositions
 from hoeffding.laws import (
     HLS,
@@ -539,6 +543,27 @@ class TestPathProduct:
             for bad in ((1, -1, 0), (1, 0), (1, 0, 0, 0)):
                 with pytest.raises(ValueError, match="is not a class of a 3-color law"):
                     law.cylinder(bad)
+
+    def test_counts_that_are_not_ints_are_refused(self):
+        # a fractional count once sent the walk down one unit at a time
+        # forever, so the check runs in a child process under a time cap
+        script = (
+            "from hoeffding.laws import parse_law\n"
+            "for spec in ('iid:p=1/2,1/2', 'mixture:w=1/2,1/2;p1=1/2,1/2;p2=1/4,3/4'):\n"
+            "    law = parse_law(spec)\n"
+            "    for bad in ((1.5, 0), [1, 1], ('1', 0), (True, 0)):\n"
+            "        try:\n"
+            "            law.cylinder(bad)\n"
+            "        except ValueError as exc:\n"
+            "            assert repr(bad) in str(exc), exc\n"
+            "        else:\n"
+            "            raise AssertionError(f'{spec}: {bad!r} was read as a class')\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(laws.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
 
     def test_a_mixture_keeps_one_memo(self):
         law = parse_law("mixture:w=2/7,5/7;p1=1/3,1/3,1/3;p2=1/9,2/9,2/3")
