@@ -33,7 +33,7 @@ from .exactnum import (
     Rational,
     RationalLike,
     _common_denominator,
-    _positions,
+    _sums,
     beta_ratio,
     binom_star,
     compositions,
@@ -310,14 +310,13 @@ def _plan(n: int, u: int, colors: int) -> tuple[
     The allocations q in compositions(u, K) with their multinomial(u, q);
     for each class ka in compositions(n-u, K) of the split block, its
     multinomial(n-u, ka) and the position of ka+q in compositions(n, K)
-    for every q, in allocation order; and multinomial(u-1, kb) for each
-    class kb of order u-1, keyed by kb."""
-    where = _positions(n, colors)
+    for every q, in allocation order, which is ka's row of
+    exactnum._sums(n-u, u); and multinomial(u-1, kb) for each class kb of
+    order u-1, keyed by kb."""
     allocations = compositions(u, colors)
     splits = tuple(
-        (ka, multinomial(n - u, ka[:-1]),
-         tuple(where[tuple(map(add, ka, q))] for q in allocations))
-        for ka in compositions(n - u, colors)
+        (ka, multinomial(n - u, ka[:-1]), targets)
+        for ka, targets in zip(compositions(n - u, colors), _sums(n - u, u, colors))
     )
     return (
         allocations,

@@ -3,8 +3,9 @@
 Statistics of an exchangeable sequence are functions of the color counts,
 so everything here is indexed by weak compositions: a symmetric kernel of
 order k is one vector of exact values in compositions(k, K) order, a
-symmetric statistic one in compositions(n, K) order, and one value is
-read through the class index exactnum._positions.  The module provides
+symmetric statistic one in compositions(n, K) order.  A value is read
+through the class index exactnum._positions, and where a sum of two
+classes sits through the law-free table exactnum._sums.  The module provides
 U-statistics, the nested spaces SU_k they span, exact orthogonal
 projections onto those spaces, one `decompose` that gives every layer
 F_k of the Hoeffding decomposition with its order-k kernel (read off the
@@ -30,6 +31,7 @@ from .exactnum import (
     Rational,
     _common_denominator,
     _positions,
+    _sums,
     class_size,
     compositions,
     format_rational,
@@ -117,26 +119,18 @@ class SymmetricStatistic(_CompositionTable):
 @lru_cache(maxsize=None)
 def _ustat_matrix(n: int, k: int, colors: int) -> tuple[tuple[int, ...], ...]:
     # rows: compositions of n; columns: compositions of k; entry = number of
-    # k-subsets with counts c inside a sequence with counts i.  For k <= n
-    # the rows c + (n-k)e_1 form a triangular block with diagonal
+    # k-subsets with counts c inside a sequence with counts i: prod_j
+    # C(i_j, c_j) on the rows i = c + d that _sums gives, 0 elsewhere.  For
+    # k <= n the rows c + (n-k)e_1 form a triangular block with diagonal
     # C(c_1+n-k, c_1), so the columns are independent: each U-statistic has
     # one kernel, and for k = n the matrix is the identity.  A statistic in
     # SU_k is its own SU_k projection, so that kernel is the projection's.
-    subs = compositions(k, colors)
-    rows = []
-    for i in compositions(n, colors):
-        row = []
-        for c in subs:
-            w = 1
-            for ij, cj in zip(i, c):
-                if cj > ij:
-                    w = 0
-                    break
-                if cj:
-                    w *= math.comb(ij, cj)
-            row.append(w)
-        rows.append(tuple(row))
-    return tuple(rows)
+    comps, subs = compositions(n, colors), compositions(k, colors)
+    rows = [[0] * len(subs) for _ in comps]
+    for col, (c, targets) in enumerate(zip(subs, _sums(k, n - k, colors))):
+        for r in targets:
+            rows[r][col] = math.prod(map(math.comb, comps[r], c))
+    return tuple(map(tuple, rows))
 
 
 def u_statistic(phi: SymmetricKernel, n: int) -> SymmetricStatistic:
@@ -340,13 +334,10 @@ def _xi_pivots(n: int, colors: int) -> tuple[tuple[tuple[int, tuple[int, ...]], 
     # The 0/1 rows sum_j x(h + e_j) = 0 over compositions(n, K), one per h
     # of order n-1 in order (h_1 decreasing), as (pivot h + e_1, columns
     # h + e_j for j >= 2), and the free columns, the i with i_1 = 0.  A
-    # row's other columns are free or the pivot of a later row.
-    col = _positions(n, colors)
-    rows = tuple(
-        (col[h.increment(0)], tuple(col[h.increment(j)] for j in range(1, colors)))
-        for h in compositions(n - 1, colors)
-    )
-    return rows, tuple(idx for c, idx in col.items() if not c[0])
+    # row's other columns are free or the pivot of a later row.  The rows
+    # are _sums(n-1, 1) split, as compositions(1, K) is e_1, ..., e_K.
+    rows = tuple((t[0], t[1:]) for t in _sums(n - 1, 1, colors))
+    return rows, tuple(idx for idx, c in enumerate(compositions(n, colors)) if not c[0])
 
 
 def _xi_kernel(law: ExchangeableLaw, n: int, f: int) -> SymmetricKernel:
@@ -366,19 +357,19 @@ def _xi_kernel(law: ExchangeableLaw, n: int, f: int) -> SymmetricKernel:
 
 
 @lru_cache(maxsize=None)
-def _count_census(colors: int, length: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _count_census(colors: int, length: int) -> tuple[int, ...]:
     # Multiplicity of each count vector among all colors^length sequences,
-    # in order, counted without a multinomial formula: a sequence is a
-    # shorter one plus one more color, so each count vector of length - 1
-    # passes its multiplicity on to its colors extensions.
+    # in compositions(length, colors) order, counted without a multinomial
+    # formula: a sequence is a shorter one plus one more color, so each
+    # count vector of length - 1 passes its multiplicity on to its colors
+    # extensions, the positions _sums(length - 1, 1) gives.
     if length == 0:
-        return (((0,) * colors, 1),)
-    tally: dict[tuple[int, ...], int] = {}
-    for c, mult in _count_census(colors, length - 1):
-        for j in range(colors):
-            e = c[:j] + (c[j] + 1,) + c[j + 1:]
-            tally[e] = tally.get(e, 0) + mult
-    return tuple(sorted(tally.items()))
+        return (1,)
+    tally = [0] * len(compositions(length, colors))
+    for mult, targets in zip(_count_census(colors, length - 1), _sums(length - 1, 1, colors)):
+        for j in targets:
+            tally[j] += mult
+    return tuple(tally)
 
 
 def _oracle_rows(
@@ -389,33 +380,28 @@ def _oracle_rows(
     # splits its counts as a over the first n-u coordinates and b over the
     # other u-1; the two blocks' positions are independent, so the split
     # counts mult, the product of a's and b's census multiplicities.  Each
-    # split and fresh class (w, fmult) of u draws add mult * fmult * P(w+z)
-    # at the column of w+a, every P of order n-1+u an integer numerator
-    # over their one common denominator D.  A row's dot product with a
-    # kernel phi is D * P(z) * total times the symmetrized shift expectation
-    # of phi over the class, total being the census size of z; that scale
-    # is kept with the row.
+    # split and fresh class w of u draws (census count fmult) add
+    # mult * fmult * P(w+z) at the column of w+a, every P of order n-1+u an
+    # integer numerator over their one common denominator D; a+b, w+z and
+    # w+a are positions read from _sums.  A row's dot product with a kernel
+    # phi is D * P(z) * total times the symmetrized shift expectation of
+    # phi over the class, total being the census size of z; that scale is
+    # kept with the row.
     cylinder, colors = law.cylinder, law.K
-    col = _positions(n, colors)
-    targets = compositions(n - 1 + u, colors)
-    nums, den = _common_denominator(map(cylinder, targets))
-    num_of = dict(zip(targets, nums))
+    nums, den = _common_denominator(map(cylinder, compositions(n - 1 + u, colors)))
     fresh = _count_census(colors, u)
-    # the columns of w + a for each fresh class w, per first-block class a
-    cols = {
-        a: [col[tuple(map(add, w, a))] for w, _ in fresh] for a in compositions(n - u, colors)
-    }
-    splits: dict[tuple[int, ...], list] = {}
-    for a, ma in _count_census(colors, n - u):
-        for b, mb in _count_census(colors, u - 1):
-            splits.setdefault(tuple(map(add, a, b)), []).append((a, ma * mb))
+    # per class z, by position, its splits (position of a, multiplicity)
+    splits = [[] for _ in compositions(n - 1, colors)]
+    for a, (ma, zs) in enumerate(zip(_count_census(colors, n - u), _sums(n - u, u - 1, colors))):
+        for mb, z in zip(_count_census(colors, u - 1), zs):
+            splits[z].append((a, ma * mb))
+    cols = _sums(n - u, u, colors)
+    classes = compositions(n - 1, colors), _count_census(colors, n - 1), _sums(n - 1, u, colors)
     rows = []
-    for z in compositions(n - 1, colors):
-        weights = [fmult * num_of[tuple(map(add, w, z))] for w, fmult in fresh]
-        row = [0] * len(col)
-        total = 0
-        for a, mult in splits[z]:
-            total += mult
+    for z, total, shifted, z_splits in zip(*classes, splits):
+        weights = [fmult * nums[t] for fmult, t in zip(fresh, shifted)]
+        row = [0] * len(compositions(n, colors))
+        for a, mult in z_splits:
             for j, g in zip(cols[a], weights):
                 row[j] += mult * g
         rows.append((z, row, den * total * cylinder(z)))

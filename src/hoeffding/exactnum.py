@@ -4,7 +4,7 @@ Everything in this module is integer or rational arithmetic with no
 floating point anywhere: guarded ("star") binomial and multinomial
 coefficients that vanish out of range instead of raising, rising
 factorials, ratios of Beta functions evaluated without a Gamma call, and
-enumeration of weak compositions.
+enumeration of weak compositions, with where each one and each sum of two sits.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from operator import add
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -181,6 +182,15 @@ def compositions(total: int, parts: int) -> tuple[Composition, ...]:
 def _positions(total: int, parts: int) -> dict[Composition, int]:
     # each composition's position in compositions(total, parts); shared, so read-only
     return {c: j for j, c in enumerate(compositions(total, parts))}
+
+
+def _sums(p: int, q: int, parts: int) -> tuple[tuple[int, ...], ...]:
+    # for each a in compositions(p, parts), the positions in
+    # compositions(p + q, parts) of a + w for every w in compositions(q, parts);
+    # not cached, as each caller is cached or runs once per (p, q)
+    where, adds = _positions(p + q, parts), compositions(q, parts)
+    return tuple(
+        tuple(where[tuple(map(add, a, w))] for w in adds) for a in compositions(p, parts))
 
 
 def class_size(i: Sequence[int]) -> int:

@@ -300,6 +300,26 @@ class TestKernelFor:
                 )
                 assert _ustat_matrix(n, n, colors) == identity
 
+    def test_ustat_matrix_is_its_definition(self):
+        # each entry tested pair by pair: the product of C(i_j, c_j) where
+        # c <= i entrywise, 0 elsewhere
+        for colors in (2, 3, 4):
+            for n in range(7):
+                for k in range(n + 1):
+                    expected = []
+                    for i in compositions(n, colors):
+                        row = []
+                        for c in compositions(k, colors):
+                            w = 1
+                            for ij, cj in zip(i, c):
+                                if cj > ij:
+                                    w = 0
+                                    break
+                                w *= math.comb(ij, cj)
+                            row.append(w)
+                        expected.append(tuple(row))
+                    assert _ustat_matrix(n, k, colors) == tuple(expected)
+
     def test_round_trip_on_u_statistic_images(self):
         rng = random.Random(13)
         for n in (2, 3, 4):
@@ -671,8 +691,12 @@ def enumerated_block_splits(colors, length, first_block):
 
 @pytest.mark.parametrize("colors", [2, 3, 4])
 def test_counted_censuses_equal_the_enumerated_ones(colors):
+    # the counted census is one multiplicity per class, in class order
     for length in range(8):
-        assert _count_census(colors, length) == enumerated_count_census(colors, length)
+        enumerated = dict(enumerated_count_census(colors, length))
+        assert _count_census(colors, length) == tuple(
+            enumerated[c] for c in compositions(length, colors))
+        assert all(type(m) is int for m in _count_census(colors, length))
 
 
 def shift_expectation_table(law, phi, n, u):

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 from hoeffding.exactnum import (
     Composition,
+    _positions,
+    _sums,
     beta_ratio,
     binom_star,
     class_size,
@@ -227,6 +229,17 @@ class TestCompositions:
         for total, parts in ((2.5, 3), (True, 2), (2, True)):
             with pytest.raises(ValueError, match="integers"):
                 compositions(total, parts)
+
+    def test_sums_are_the_positions_of_added_classes(self):
+        # the table of where a + w sits, against tuple arithmetic
+        for parts in (2, 3, 4):
+            for p in range(5):
+                for q in range(5):
+                    where = _positions(p + q, parts)
+                    assert _sums(p, q, parts) == tuple(
+                        tuple(where[tuple(x + y for x, y in zip(a, w))]
+                              for w in compositions(q, parts))
+                        for a in compositions(p, parts))
 
     def test_class_size_counts_sequences(self):
         for n in range(0, 5):
